@@ -1,5 +1,8 @@
 #include "instance/instance.h"
 
+#include <algorithm>
+#include <map>
+
 #include "common/logging.h"
 #include "common/strings.h"
 #include "serde/wire.h"
@@ -304,34 +307,40 @@ void HeronInstance::Kill() {
 }
 
 void HeronInstance::HandleRootEvent(const serde::Buffer& payload) {
-  proto::RootEventMsg msg;
-  if (!msg.ParseFromBytes(payload).ok()) return;
-  const auto it = pending_roots_.find(msg.root);
-  if (it == pending_roots_.end()) {
-    // Stale: double timeout, or an ack from a pre-restore epoch reaching
-    // the restarted incarnation (whose pending set was rebuilt fresh).
-    stale_root_events_->Increment();
+  proto::RootEventMsg& msg = root_events_scratch_;
+  if (!msg.ParseFromBytes(payload).ok()) {
+    HLOG(ERROR) << "task " << options_.task << " dropping malformed root "
+                << "event batch";
     return;
   }
-  const PendingRoot pending = it->second;
-  pending_roots_.erase(it);
-  pending_count_.fetch_sub(1, std::memory_order_relaxed);
   const int64_t now = clock_->NowNanos();
-  if (pending.traced && options_.span_collector != nullptr) {
-    // Tree finished (either way): closes the traced tuple's timeline, so
-    // the stage deltas telescope to exactly the complete latency.
-    options_.span_collector->Record(
-        msg.root, observability::TraceStage::kAckComplete, options_.task,
-        now);
-  }
-  if (msg.fail) {
-    failed_->Increment();
-    spout_->Fail(pending.message_id);
-  } else {
-    acked_->Increment();
-    complete_latency_->Record(static_cast<uint64_t>(
-        std::max<int64_t>(now - pending.emit_time_nanos, 0)));
-    spout_->Ack(pending.message_id);
+  for (const proto::RootEvent& event : msg.events) {
+    const auto it = pending_roots_.find(event.root);
+    if (it == pending_roots_.end()) {
+      // Stale: double timeout, or an ack from a pre-restore epoch reaching
+      // the restarted incarnation (whose pending set was rebuilt fresh).
+      stale_root_events_->Increment();
+      continue;
+    }
+    const PendingRoot pending = it->second;
+    pending_roots_.erase(it);
+    pending_count_.fetch_sub(1, std::memory_order_relaxed);
+    if (pending.traced && options_.span_collector != nullptr) {
+      // Tree finished (either way): closes the traced tuple's timeline, so
+      // the stage deltas telescope to exactly the complete latency.
+      options_.span_collector->Record(
+          event.root, observability::TraceStage::kAckComplete,
+          options_.task, now);
+    }
+    if (event.fail) {
+      failed_->Increment();
+      spout_->Fail(pending.message_id);
+    } else {
+      acked_->Increment();
+      complete_latency_->Record(static_cast<uint64_t>(
+          std::max<int64_t>(now - pending.emit_time_nanos, 0)));
+      spout_->Ack(pending.message_id);
+    }
   }
 }
 

@@ -2,9 +2,9 @@
 #define HERON_INSTANCE_INSTANCE_H_
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "api/bolt.h"
@@ -123,6 +123,8 @@ class HeronInstance {
   bool SpoutStep();
   /// Inbound envelope dispatch (root events for spouts, batches for bolts).
   void HandleEnvelope(proto::Envelope env);
+  /// Applies a batch of root events in order; a malformed batch is
+  /// dropped whole.
   void HandleRootEvent(const serde::Buffer& payload);
   /// Executes a routed batch — unless barrier alignment is buffering its
   /// channel, in which case the payload is moved into `aligned_buffer_`
@@ -179,7 +181,8 @@ class HeronInstance {
     /// Sampled tracing: record kAckComplete when this root's tree ends.
     bool traced = false;
   };
-  std::map<api::TupleKey, PendingRoot> pending_roots_;
+  std::unordered_map<api::TupleKey, PendingRoot> pending_roots_;
+  proto::RootEventMsg root_events_scratch_;  ///< Reused per envelope.
   std::atomic<int64_t> pending_count_{0};
   /// Spout emission sequence for deterministic 1-in-N trace sampling.
   uint64_t emit_seq_ = 0;

@@ -26,8 +26,11 @@ constexpr uint32_t kAuRoot = 1;
 constexpr uint32_t kAuXor = 2;
 constexpr uint32_t kAuFail = 3;
 // RootEventMsg fields.
-constexpr uint32_t kReRoot = 1;
-constexpr uint32_t kReFail = 2;
+constexpr uint32_t kReCount = 1;
+constexpr uint32_t kReEvent = 2;
+// RootEvent fields.
+constexpr uint32_t kRevRoot = 1;
+constexpr uint32_t kRevFail = 2;
 // BackpressureMsg fields.
 constexpr uint32_t kBpInitiator = 1;
 constexpr uint32_t kBpRetryDepth = 2;
@@ -274,34 +277,61 @@ void AckBatchMsg::Clear() {
 }
 
 void RootEventMsg::SerializeTo(serde::WireEncoder* enc) const {
-  enc->WriteUint64Field(kReRoot, root);
-  enc->WriteBoolField(kReFail, fail);
+  enc->WriteUint64Field(kReCount, events.size());
+  for (const RootEvent& e : events) {
+    const size_t mark = enc->BeginLengthDelimited(kReEvent);
+    enc->WriteUint64Field(kRevRoot, e.root);
+    enc->WriteBoolField(kRevFail, e.fail);
+    enc->EndLengthDelimited(mark);
+  }
 }
 
 Status RootEventMsg::ParseFrom(serde::WireDecoder* dec) {
+  bool has_count = false;
+  uint64_t count = 0;
   while (!dec->AtEnd()) {
     HERON_ASSIGN_OR_RETURN(uint32_t tag, dec->ReadTag());
     if (tag == 0) break;
     switch (serde::TagFieldNumber(tag)) {
-      case kReRoot: {
-        HERON_ASSIGN_OR_RETURN(root, dec->ReadUint64());
+      case kReCount: {
+        HERON_ASSIGN_OR_RETURN(count, dec->ReadUint64());
+        has_count = true;
         break;
       }
-      case kReFail: {
-        HERON_ASSIGN_OR_RETURN(fail, dec->ReadBool());
+      case kReEvent: {
+        HERON_ASSIGN_OR_RETURN(serde::BytesView blob, dec->ReadBytes());
+        serde::WireDecoder inner(blob);
+        RootEvent e;
+        while (!inner.AtEnd()) {
+          HERON_ASSIGN_OR_RETURN(uint32_t itag, inner.ReadTag());
+          if (itag == 0) break;
+          switch (serde::TagFieldNumber(itag)) {
+            case kRevRoot: {
+              HERON_ASSIGN_OR_RETURN(e.root, inner.ReadUint64());
+              break;
+            }
+            case kRevFail: {
+              HERON_ASSIGN_OR_RETURN(e.fail, inner.ReadBool());
+              break;
+            }
+            default:
+              HERON_RETURN_NOT_OK(inner.SkipField(serde::TagWireType(itag)));
+          }
+        }
+        events.push_back(e);
         break;
       }
       default:
         HERON_RETURN_NOT_OK(dec->SkipField(serde::TagWireType(tag)));
     }
   }
+  if (!has_count || count != events.size()) {
+    return Status::IOError("root event batch is truncated");
+  }
   return Status::OK();
 }
 
-void RootEventMsg::Clear() {
-  root = 0;
-  fail = false;
-}
+void RootEventMsg::Clear() { events.clear(); }
 
 void BackpressureMsg::SerializeTo(serde::WireEncoder* enc) const {
   enc->WriteInt32Field(kBpInitiator, initiator);

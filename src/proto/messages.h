@@ -153,15 +153,29 @@ class AckBatchMsg final : public serde::Message {
   void Clear() override;
 };
 
-/// \brief SMGR → spout instance notification that a tuple tree finished.
-///
-/// Field layout: 1 root varint (uint64), 2 fail bool. The spout executor
-/// maps the root back to the user message id and the emit timestamp it
-/// recorded at emission time.
-class RootEventMsg final : public serde::Message {
- public:
+/// \brief One finished tuple tree, as reported to its spout.
+struct RootEvent {
   api::TupleKey root = 0;
   bool fail = false;
+
+  bool operator==(const RootEvent& o) const {
+    return root == o.root && fail == o.fail;
+  }
+};
+
+/// \brief SMGR → spout instance notification that tuple trees finished:
+/// every tree one ack batch (or one timeout pass) completed for this
+/// spout, in completion order.
+///
+/// Field layout: 1 count varint (always written), 2 event
+/// (length-delimited: 1 root varint, 2 fail bool), repeated. The spout
+/// executor maps each root back to the user message id and the emit
+/// timestamp it recorded at emission time. A payload whose event count
+/// disagrees with `count`, or that lacks it, fails to parse, so a
+/// truncated batch is rejected whole rather than applied in part.
+class RootEventMsg final : public serde::Message {
+ public:
+  std::vector<RootEvent> events;
 
   void SerializeTo(serde::WireEncoder* enc) const override;
   Status ParseFrom(serde::WireDecoder* dec) override;

@@ -49,6 +49,9 @@ struct HeronCostModel {
   // Ack management (per tuple / per event).
   double tracker_register_ns = 160;
   double ack_update_ns = 240;
+  /// Priced per tree. The live engine ships root events batched (one
+  /// envelope per spout per ack batch), but the gated DES headlines rest
+  /// on this table until it is calibrated from measured costs.
   double root_event_ns = 260;
   double spout_ack_ns = 260;  ///< Spout-side Ack() + bookkeeping.
   /// Extra per-ack cost on the ablated path: the naive engine fully

@@ -1,5 +1,6 @@
 #include "smgr/ack_tracker.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace heron {
@@ -10,8 +11,12 @@ void AckTracker::Register(api::TupleKey root, api::TupleKey spout_tuple_key,
   auto [it, inserted] = entries_.try_emplace(root);
   it->second.xor_state ^= spout_tuple_key;
   if (inserted) {
-    it->second.deadline_nanos = now_nanos + timeout_nanos_;
-    by_deadline_.emplace(it->second.deadline_nanos, root);
+    int64_t deadline = now_nanos + timeout_nanos_;
+    if (!by_deadline_.empty()) {
+      deadline = std::max(deadline, by_deadline_.back().first);
+    }
+    it->second.deadline_nanos = deadline;
+    by_deadline_.emplace_back(deadline, root);
   }
 }
 
@@ -34,26 +39,32 @@ std::optional<AckTracker::Completion> AckTracker::Update(
 std::vector<AckTracker::Completion> AckTracker::ExpireTimeouts(
     int64_t now_nanos) {
   std::vector<Completion> expired;
-  auto it = by_deadline_.begin();
-  while (it != by_deadline_.end() && it->first <= now_nanos) {
-    const api::TupleKey root = it->second;
-    it = by_deadline_.erase(it);
-    if (entries_.erase(root) != 0) {
+  while (!by_deadline_.empty() && by_deadline_.front().first <= now_nanos) {
+    const auto [deadline, root] = by_deadline_.front();
+    by_deadline_.pop_front();
+    // Roots already completed leave stale records; skipping them here is
+    // what keeps Update O(1) without deadline-index surgery. The deadline
+    // check keeps a stale record from expiring a later registration of
+    // the same key.
+    const auto it = entries_.find(root);
+    if (it != entries_.end() && it->second.deadline_nanos == deadline) {
+      entries_.erase(it);
       expired.push_back({root, true});
     }
-    // Roots already completed leave stale deadline records; skipping them
-    // here is what keeps Update O(log n) without deadline-index surgery.
   }
   return expired;
 }
 
 int64_t AckTracker::NextDeadlineNanos() {
-  // Drop stale deadline records for completed roots as they surface, so
-  // repeated calls stay O(1) amortized instead of rescanning the backlog.
+  // Drop stale records for completed roots as they surface, so repeated
+  // calls stay O(1) amortized instead of rescanning the backlog.
   while (!by_deadline_.empty()) {
-    const auto it = by_deadline_.begin();
-    if (entries_.count(it->second) != 0) return it->first;
-    by_deadline_.erase(it);
+    const auto [deadline, root] = by_deadline_.front();
+    const auto it = entries_.find(root);
+    if (it != entries_.end() && it->second.deadline_nanos == deadline) {
+      return deadline;
+    }
+    by_deadline_.pop_front();
   }
   return std::numeric_limits<int64_t>::max();
 }

@@ -2,8 +2,10 @@
 #define HERON_SMGR_ACK_TRACKER_H_
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <optional>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "api/tuple.h"
@@ -34,7 +36,8 @@ class AckTracker {
   ///        completing in time is failed (topology message timeout, §V-B).
   explicit AckTracker(int64_t timeout_nanos) : timeout_nanos_(timeout_nanos) {}
 
-  /// Starts tracking `root` with the spout tuple's key folded in.
+  /// Starts tracking `root` with the spout tuple's key folded in. A root
+  /// registered again keeps its first deadline.
   void Register(api::TupleKey root, api::TupleKey spout_tuple_key,
                 int64_t now_nanos);
 
@@ -44,7 +47,7 @@ class AckTracker {
   std::optional<Completion> Update(api::TupleKey root, api::TupleKey xor_value,
                                    bool fail);
 
-  /// Fails every root whose deadline passed.
+  /// Fails every root whose deadline passed, in registration order.
   std::vector<Completion> ExpireTimeouts(int64_t now_nanos);
 
   /// Earliest pending deadline, or INT64_MAX when nothing is tracked.
@@ -60,11 +63,15 @@ class AckTracker {
   };
 
   int64_t timeout_nanos_;
-  std::map<api::TupleKey, Entry> entries_;
-  // Deadlines are monotone in registration order, so expiry scans the map
-  // insertion side; with random 48-bit suffixes the key order is not
-  // registration order, so a deadline index keeps expiry O(expired).
-  std::multimap<int64_t, api::TupleKey> by_deadline_;
+  std::unordered_map<api::TupleKey, Entry> entries_;
+  /// Deadline index: a FIFO of (deadline, root) in registration order.
+  /// The timeout is constant and the clock monotonic, so deadlines never
+  /// decrease along the FIFO; Register clamps a new deadline up to the
+  /// tail's so it stays sorted even under a clock that steps back. A
+  /// completed root leaves its record behind, and a record only counts
+  /// while the root is still tracked under that same deadline, so expiry
+  /// and pruning pop the front in O(1) without touching the middle.
+  std::deque<std::pair<int64_t, api::TupleKey>> by_deadline_;
 };
 
 }  // namespace smgr

@@ -272,10 +272,11 @@ void StreamManager::ProcessEnvelope(proto::Envelope env) {
 void StreamManager::MaybeRegisterRoots(TaskId src_task,
                                        serde::BytesView tuple_bytes) {
   api::TupleKey key = 0;
-  std::vector<api::TupleKey> roots;
-  if (!proto::PeekTupleKeyAndRoots(tuple_bytes, &key, &roots).ok()) return;
+  if (!proto::PeekTupleKeyAndRoots(tuple_bytes, &key, &roots_scratch_).ok()) {
+    return;
+  }
   const int64_t now = clock_->NowNanos();
-  for (const api::TupleKey root : roots) {
+  for (const api::TupleKey root : roots_scratch_) {
     tracker_.Register(root, key, now);
   }
 }
@@ -352,8 +353,7 @@ void StreamManager::HandleInstanceBatch(const serde::Buffer& payload,
         std::string(view_scratch_.stream)};
     const auto it = edges_.find(key);
     const bool is_spout =
-        options_.acking &&
-        local_task_is_spout_[view_scratch_.src_task];
+        options_.acking && IsLocalSpout(view_scratch_.src_task);
     for (const serde::BytesView tuple : view_scratch_.tuples) {
       if (is_spout) MaybeRegisterRoots(view_scratch_.src_task, tuple);
       uint64_t trace_id = 0;
@@ -383,8 +383,7 @@ void StreamManager::HandleInstanceBatch(const serde::Buffer& payload,
     return;
   }
   const auto it = edges_.find({batch.src_component, batch.stream});
-  const bool is_spout =
-      options_.acking && local_task_is_spout_[batch.src_task];
+  const bool is_spout = options_.acking && IsLocalSpout(batch.src_task);
   for (const serde::Buffer& tuple_bytes : batch.tuples) {
     proto::TupleDataMsg tuple;
     if (!tuple.ParseFromBytes(tuple_bytes).ok()) continue;
@@ -505,20 +504,21 @@ void StreamManager::HandleAckBatch(proto::Envelope env) {
     SendToContainer(*container, std::move(env));
     return;
   }
-  proto::AckBatchMsg batch;
-  if (!batch.ParseFromBytes(env.payload).ok()) {
+  const Status parsed = ack_scratch_.ParseFromBytes(env.payload);
+  transport_->buffer_pool()->Release(std::move(env.payload));
+  if (!parsed.ok()) {
     HLOG(ERROR) << "dropping malformed ack batch";
     return;
   }
-  transport_->buffer_pool()->Release(std::move(env.payload));
-  for (const proto::AckUpdate& update : batch.updates) {
+  for (const proto::AckUpdate& update : ack_scratch_.updates) {
     acks_applied_->Increment();
     auto completion = tracker_.Update(update.root, update.xor_value,
                                       update.fail);
     if (completion.has_value()) {
-      EmitRootEvent(*completion);
+      StageRootEvent(*completion);
     }
   }
+  FlushRootEvents();
 }
 
 void StreamManager::HandleBarrier(proto::Envelope env) {
@@ -580,21 +580,34 @@ void StreamManager::HandleBarrier(proto::Envelope env) {
   }
 }
 
-void StreamManager::EmitRootEvent(const AckTracker::Completion& completion) {
+void StreamManager::StageRootEvent(const AckTracker::Completion& completion) {
   if (completion.fail) {
     roots_failed_->Increment();
   } else {
     roots_completed_->Increment();
   }
-  proto::RootEventMsg msg;
-  msg.root = completion.root;
-  msg.fail = completion.fail;
-  serde::Buffer payload = transport_->buffer_pool()->Acquire();
-  serde::WireEncoder enc(&payload);
-  msg.SerializeTo(&enc);
-  SendToInstance(proto::RootKeyTask(completion.root),
-                 proto::Envelope(proto::MessageType::kRootEvent,
-                                 std::move(payload)));
+  const TaskId spout = proto::RootKeyTask(completion.root);
+  auto staged = std::find_if(
+      staged_root_events_.begin(), staged_root_events_.end(),
+      [spout](const StagedRootEvents& s) { return s.spout == spout; });
+  if (staged == staged_root_events_.end()) {
+    staged = staged_root_events_.insert(staged_root_events_.end(),
+                                        {spout, {}});
+  }
+  staged->msg.events.push_back({completion.root, completion.fail});
+}
+
+void StreamManager::FlushRootEvents() {
+  for (StagedRootEvents& staged : staged_root_events_) {
+    if (staged.msg.events.empty()) continue;
+    serde::Buffer payload = transport_->buffer_pool()->Acquire();
+    serde::WireEncoder enc(&payload);
+    staged.msg.SerializeTo(&enc);
+    staged.msg.events.clear();
+    SendToInstance(staged.spout,
+                   proto::Envelope(proto::MessageType::kRootEvent,
+                                   std::move(payload)));
+  }
 }
 
 void StreamManager::DrainCacheNow(bool timer_drain) {
@@ -628,8 +641,9 @@ void StreamManager::DrainCacheNow(bool timer_drain) {
 void StreamManager::ExpireAcksNow() {
   for (const auto& completion : tracker_.ExpireTimeouts(clock_->NowNanos())) {
     roots_timeout_->Increment();
-    EmitRootEvent(completion);
+    StageRootEvent(completion);
   }
+  FlushRootEvents();
 }
 
 void StreamManager::SendToInstance(TaskId task, proto::Envelope env) {

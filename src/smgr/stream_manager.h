@@ -159,7 +159,7 @@ class StreamManager {
   void ProcessEnvelope(proto::Envelope env);
   /// Flushes the tuple cache and dispatches the batches.
   void DrainCacheNow(bool timer_drain = true);
-  /// Expires overdue roots and notifies spouts.
+  /// Expires overdue roots and notifies spouts (one envelope per spout).
   void ExpireAcksNow();
   /// Attempts queued re-deliveries; returns entries still parked.
   size_t FlushRetries();
@@ -189,7 +189,8 @@ class StreamManager {
                            uint64_t env_trace_id);
   /// Forwards / delivers a routed batch (from a peer SMGR).
   void HandleRoutedBatch(proto::Envelope env);
-  /// Applies or forwards ack updates.
+  /// Applies or forwards ack updates. The trees the batch completes ship
+  /// to their spouts before it returns, one envelope per spout.
   void HandleAckBatch(proto::Envelope env);
   /// Checkpoint barriers. A fan-out request from a local instance
   /// (dest_task < 0) flushes the tuple cache — pre-barrier data first —
@@ -206,13 +207,23 @@ class StreamManager {
                   serde::BytesView stream, serde::BytesView src_component,
                   serde::BytesView tuple_bytes, uint64_t trace_id);
 
+  /// True for a spout task hosted here. A lookup, not operator[]: a batch
+  /// from an unknown source task must not grow the table while routing.
+  bool IsLocalSpout(TaskId task) const {
+    const auto it = local_task_is_spout_.find(task);
+    return it != local_task_is_spout_.end() && it->second;
+  }
+
   /// Registers spout roots when acking (lazy peek on the serialized tuple).
   void MaybeRegisterRoots(TaskId src_task, serde::BytesView tuple_bytes);
 
   void SendToInstance(TaskId task, proto::Envelope env);
   void SendToContainer(ContainerId container, proto::Envelope env);
   void TrySendOrPark(const Transport::Endpoint& dest, proto::Envelope env);
-  void EmitRootEvent(const AckTracker::Completion& completion);
+  /// Counts a completed root and stages its event for the owning spout.
+  void StageRootEvent(const AckTracker::Completion& completion);
+  /// Ships every spout's staged events as one kRootEvent envelope each.
+  void FlushRootEvents();
 
   // -- Cluster-wide backpressure protocol (loop thread only). --
 
@@ -248,6 +259,16 @@ class StreamManager {
   std::map<std::pair<ComponentId, StreamId>, std::vector<Edge>> edges_;
   /// Components hosted in this container that are spouts (root owners).
   std::map<TaskId, bool> local_task_is_spout_;
+
+  /// Root events waiting for the end of the handler that completed them
+  /// (one HandleAckBatch call or one ExpireAcksNow pass), one entry per
+  /// local spout, added on its first completion. Entries and their event
+  /// vectors are reused.
+  struct StagedRootEvents {
+    TaskId spout = -1;
+    proto::RootEventMsg msg;
+  };
+  std::vector<StagedRootEvents> staged_root_events_;
 
   struct Parked {
     Transport::Endpoint dest;
@@ -316,6 +337,8 @@ class StreamManager {
   // Scratch reused across envelopes (object-reuse discipline, §V-A).
   std::vector<TaskId> route_scratch_;
   proto::TupleBatchView view_scratch_;
+  std::vector<api::TupleKey> roots_scratch_;
+  proto::AckBatchMsg ack_scratch_;
 };
 
 /// Plan-swap hygiene: broadcasts kStopBackpressure *on behalf of* a

@@ -106,8 +106,8 @@ TEST_F(InstanceTest, AckedSpoutStopsAtMaxPendingAndResumesOnRootEvents) {
   ASSERT_EQ(roots.size(), 100u);
   for (size_t i = 0; i < 50; ++i) {
     proto::RootEventMsg event;
-    event.root = roots[i];
-    event.fail = (i % 10 == 9);  // A few failures among the acks.
+    // A few failures among the acks.
+    event.events.push_back({roots[i], i % 10 == 9});
     ASSERT_TRUE(spout.inbound()
                     ->TrySend(proto::Envelope(
                         proto::MessageType::kRootEvent,
@@ -124,6 +124,82 @@ TEST_F(InstanceTest, AckedSpoutStopsAtMaxPendingAndResumesOnRootEvents) {
   EXPECT_GT(
       spout.metrics()->GetHistogram("instance.complete.latency.ns")->count(),
       0u);
+}
+
+TEST_F(InstanceTest, RootEventBatchAppliesAcksFailsAndStaleRootsInOrder) {
+  HeronInstance::Options options;
+  options.task = 0;
+  options.acking = true;
+  options.max_spout_pending = 40;
+  options.config.SetBool(config_keys::kAckingEnabled, true);
+  HeronInstance spout(options, physical_, transport_.get(),
+                      RealClock::Get(), nullptr);
+  ASSERT_TRUE(spout.StartStepMode().ok());
+  for (int i = 0; i < 1000 && spout.pending_count() < 40; ++i) {
+    spout.loop()->RunOnce();
+  }
+  ASSERT_EQ(spout.pending_count(), 40);
+
+  std::vector<api::TupleKey> roots;
+  while (auto env = smgr_inbound_->TryRecv()) {
+    proto::TupleBatchMsg batch;
+    ASSERT_TRUE(batch.ParseFromBytes(env->payload).ok());
+    for (const auto& bytes : batch.tuples) {
+      proto::TupleDataMsg msg;
+      ASSERT_TRUE(msg.ParseFromBytes(bytes).ok());
+      for (const api::TupleKey root : msg.roots) roots.push_back(root);
+    }
+  }
+  ASSERT_EQ(roots.size(), 40u);
+
+  // One batch: 24 acks and 6 fails of live roots, interleaved with three
+  // stale events — two roots never emitted and a repeat of a root this
+  // very batch already acked.
+  proto::RootEventMsg batch;
+  for (size_t i = 0; i < 30; ++i) {
+    batch.events.push_back({roots[i], i % 5 == 4});
+    if (i == 10) batch.events.push_back({proto::MakeRootKey(0, 0xDEAD), false});
+    if (i == 20) batch.events.push_back({roots[3], false});
+  }
+  batch.events.push_back({proto::MakeRootKey(0, 0xBEEF), true});
+  const uint64_t emitted_before =
+      spout.metrics()->GetCounter("instance.emitted")->value();
+  ASSERT_TRUE(spout.inbound()
+                  ->TrySend(proto::Envelope(proto::MessageType::kRootEvent,
+                                            batch.SerializeAsBuffer()))
+                  .ok());
+  // One iteration applies the whole batch (the source drains before the
+  // NextTuple idle worker, which may then refill one freed slot).
+  spout.loop()->RunOnce();
+  const int64_t refilled = static_cast<int64_t>(
+      spout.metrics()->GetCounter("instance.emitted")->value() -
+      emitted_before);
+  EXPECT_LE(refilled, 1);
+  EXPECT_EQ(spout.pending_count(), 40 - 30 + refilled);
+  EXPECT_EQ(spout.metrics()->GetCounter("instance.acked")->value(), 24u);
+  EXPECT_EQ(spout.metrics()->GetCounter("instance.failed")->value(), 6u);
+  EXPECT_EQ(spout.metrics()->GetCounter("instance.rootevent.stale")->value(),
+            3u);
+
+  // A malformed batch is dropped whole: nothing in it is applied.
+  serde::Buffer truncated = [&] {
+    proto::RootEventMsg rest;
+    for (size_t i = 30; i < 40; ++i) rest.events.push_back({roots[i], false});
+    serde::Buffer bytes = rest.SerializeAsBuffer();
+    bytes.resize(bytes.size() - 3);
+    return bytes;
+  }();
+  const int64_t pending_before = spout.pending_count();
+  ASSERT_TRUE(spout.inbound()
+                  ->TrySend(proto::Envelope(proto::MessageType::kRootEvent,
+                                            std::move(truncated)))
+                  .ok());
+  spout.loop()->RunOnce();
+  EXPECT_GE(spout.pending_count(), pending_before);
+  EXPECT_EQ(spout.metrics()->GetCounter("instance.acked")->value(), 24u);
+  EXPECT_EQ(spout.metrics()->GetCounter("instance.rootevent.stale")->value(),
+            3u);
+  spout.Stop();
 }
 
 TEST_F(InstanceTest, BoltExecutesRoutedBatchesAndAcksUpstream) {

@@ -188,14 +188,47 @@ TEST(MessagesTest, AckBatchRoundTrip) {
   EXPECT_EQ(*PeekAckBatchDest(batch.SerializeAsBuffer()), 12);
 }
 
-TEST(MessagesTest, RootEventRoundTrip) {
+/// A root-event batch of `n` events for spout task 9, every third failed.
+RootEventMsg MakeRootEvents(int n) {
   RootEventMsg msg;
-  msg.root = MakeRootKey(9, 0x1234);
-  msg.fail = true;
+  for (int i = 0; i < n; ++i) {
+    msg.events.push_back({MakeRootKey(9, 0x1234 + static_cast<uint64_t>(i)),
+                          i % 3 == 2});
+  }
+  return msg;
+}
+
+TEST(MessagesTest, RootEventBatchRoundTrip) {
+  for (const int n : {0, 1, 300}) {
+    const RootEventMsg msg = MakeRootEvents(n);
+    RootEventMsg parsed;
+    ASSERT_TRUE(parsed.ParseFromBytes(msg.SerializeAsBuffer()).ok()) << n;
+    EXPECT_EQ(parsed.events, msg.events) << n;
+  }
+  // Order and flags survive exactly: completion order is what the spout
+  // applies.
   RootEventMsg parsed;
-  ASSERT_TRUE(parsed.ParseFromBytes(msg.SerializeAsBuffer()).ok());
-  EXPECT_EQ(parsed.root, msg.root);
-  EXPECT_TRUE(parsed.fail);
+  ASSERT_TRUE(parsed.ParseFromBytes(MakeRootEvents(4).SerializeAsBuffer())
+                  .ok());
+  ASSERT_EQ(parsed.events.size(), 4u);
+  EXPECT_EQ(parsed.events[0].root, MakeRootKey(9, 0x1234));
+  EXPECT_FALSE(parsed.events[1].fail);
+  EXPECT_TRUE(parsed.events[2].fail);
+  EXPECT_EQ(parsed.events[3].root, MakeRootKey(9, 0x1237));
+}
+
+TEST(MessagesTest, TruncatedRootEventBatchIsRejectedWhole) {
+  // Every strict prefix fails to parse, event boundaries included: the
+  // leading count makes a batch cut between two events detectable.
+  for (const int n : {0, 1, 300}) {
+    const serde::Buffer bytes = MakeRootEvents(n).SerializeAsBuffer();
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      RootEventMsg parsed;
+      EXPECT_FALSE(
+          parsed.ParseFromBytes(serde::BytesView(bytes.data(), len)).ok())
+          << "n=" << n << " len=" << len;
+    }
+  }
 }
 
 TEST(MessagesTest, TMasterLocationRoundTrip) {

@@ -22,19 +22,26 @@ class StreamManagerTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
     heron::Logging::SetLevel(heron::LogLevel::kError);
-    auto topology = workloads::BuildWordCountTopology("smgr-test", 2, 2);
-    ASSERT_TRUE(topology.ok());
-    packing::RoundRobinPacking packer;
-    Config config;
-    config.SetInt(config_keys::kNumContainersHint, 2);
-    ASSERT_TRUE(packer.Initialize(config, *topology).ok());
-    auto plan = packer.Pack();
-    ASSERT_TRUE(plan.ok());
-    physical_ = *proto::PhysicalPlan::Build(*topology, *plan);
-
+    physical_ = BuildPlan(2);
+    ASSERT_NE(physical_, nullptr);
     ASSERT_EQ(*physical_->ContainerOfTask(0), 0);
     ASSERT_EQ(*physical_->ContainerOfTask(2), 0);
     ASSERT_EQ(*physical_->ContainerOfTask(3), 1);
+  }
+
+  /// The 2-spout/2-bolt WordCount packed round-robin into `containers`.
+  static std::shared_ptr<const proto::PhysicalPlan> BuildPlan(
+      int containers) {
+    auto topology = workloads::BuildWordCountTopology("smgr-test", 2, 2);
+    if (!topology.ok()) return nullptr;
+    packing::RoundRobinPacking packer;
+    Config config;
+    config.SetInt(config_keys::kNumContainersHint, containers);
+    if (!packer.Initialize(config, *topology).ok()) return nullptr;
+    auto plan = packer.Pack();
+    if (!plan.ok()) return nullptr;
+    auto physical = proto::PhysicalPlan::Build(*topology, *plan);
+    return physical.ok() ? *physical : nullptr;
   }
 
   StreamManager::Options BaseOptions(bool acking = false) {
@@ -272,10 +279,11 @@ TEST_P(StreamManagerTest, AckLifecycleCompletesRoot) {
   auto env = spout0.TryRecv();
   ASSERT_TRUE(env.has_value());
   EXPECT_EQ(env->type, proto::MessageType::kRootEvent);
-  proto::RootEventMsg event;
-  ASSERT_TRUE(event.ParseFromBytes(env->payload).ok());
-  EXPECT_EQ(event.root, root);
-  EXPECT_FALSE(event.fail);
+  proto::RootEventMsg events;
+  ASSERT_TRUE(events.ParseFromBytes(env->payload).ok());
+  ASSERT_EQ(events.events.size(), 1u);
+  EXPECT_EQ(events.events[0].root, root);
+  EXPECT_FALSE(events.events[0].fail);
 }
 
 TEST_P(StreamManagerTest, AckBatchForRemoteSpoutForwarded) {
@@ -309,10 +317,110 @@ TEST_P(StreamManagerTest, ExpiredRootsFailBackToSpout) {
 
   auto env = spout0.TryRecv();
   ASSERT_TRUE(env.has_value());
-  proto::RootEventMsg event;
-  ASSERT_TRUE(event.ParseFromBytes(env->payload).ok());
-  EXPECT_EQ(event.root, root);
-  EXPECT_TRUE(event.fail);
+  proto::RootEventMsg events;
+  ASSERT_TRUE(events.ParseFromBytes(env->payload).ok());
+  ASSERT_EQ(events.events.size(), 1u);
+  EXPECT_EQ(events.events[0].root, root);
+  EXPECT_TRUE(events.events[0].fail);
+}
+
+/// Reads the one envelope spout `task`'s channel must hold as a
+/// root-event batch.
+std::vector<proto::RootEvent> SoleRootEventBatch(EnvelopeChannel* channel,
+                                                 TaskId task) {
+  EXPECT_EQ(channel->size(), 1u);
+  auto env = channel->TryRecv();
+  if (!env.has_value()) return {};
+  EXPECT_EQ(env->type, proto::MessageType::kRootEvent);
+  EXPECT_EQ(env->dest_task, task);
+  proto::RootEventMsg msg;
+  EXPECT_TRUE(msg.ParseFromBytes(env->payload).ok());
+  return msg.events;
+}
+
+TEST_P(StreamManagerTest, AckBatchShipsOneRootEventEnvelopePerSpout) {
+  // One container hosts both spouts (tasks 0 and 1).
+  const auto plan = BuildPlan(1);
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(*plan->ContainerOfTask(1), 0);
+  Transport transport(GetParam());
+  StreamManager smgr(BaseOptions(/*acking=*/true), plan, &transport,
+                     RealClock::Get());
+  EnvelopeChannel spout0(64), spout1(64);
+  ASSERT_TRUE(transport.RegisterInstance(0, &spout0).ok());
+  ASSERT_TRUE(transport.RegisterInstance(1, &spout1).ok());
+
+  const api::TupleKey a0 = proto::MakeRootKey(0, 0x30);
+  const api::TupleKey a1 = proto::MakeRootKey(0, 0x10);
+  const api::TupleKey a2 = proto::MakeRootKey(0, 0x20);
+  const api::TupleKey b0 = proto::MakeRootKey(1, 0x02);
+  const api::TupleKey b1 = proto::MakeRootKey(1, 0x01);
+  const api::TupleKey open = proto::MakeRootKey(1, 0x03);
+  for (const api::TupleKey root : {a0, a1, a2}) {
+    smgr.ProcessEnvelope(InstanceBatch(0, {"a"}, root));
+  }
+  for (const api::TupleKey root : {b0, b1, open}) {
+    smgr.ProcessEnvelope(InstanceBatch(1, {"b"}, root));
+  }
+  ASSERT_EQ(smgr.acks_pending(), 6u);
+
+  // One batch completes five trees of two spouts, interleaved; `open`
+  // only gains a child and stays pending.
+  proto::AckBatchMsg acks;
+  acks.dest_task = 0;
+  acks.updates.push_back({a1, a1, false});
+  acks.updates.push_back({b0, b0, false});
+  acks.updates.push_back({open, open ^ 0x5, false});
+  acks.updates.push_back({a0, 0, true});
+  acks.updates.push_back({b1, b1, false});
+  acks.updates.push_back({a2, a2, false});
+  smgr.ProcessEnvelope(proto::Envelope(proto::MessageType::kAckBatch,
+                                       acks.SerializeAsBuffer()));
+  EXPECT_EQ(smgr.acks_pending(), 1u);
+
+  const std::vector<proto::RootEvent> want0 = {
+      {a1, false}, {a0, true}, {a2, false}};
+  const std::vector<proto::RootEvent> want1 = {{b0, false}, {b1, false}};
+  EXPECT_EQ(SoleRootEventBatch(&spout0, 0), want0);
+  EXPECT_EQ(SoleRootEventBatch(&spout1, 1), want1);
+  EXPECT_EQ(smgr.metrics()->GetCounter("smgr.roots.completed")->value(), 4u);
+  EXPECT_EQ(smgr.metrics()->GetCounter("smgr.roots.failed")->value(), 1u);
+}
+
+TEST_P(StreamManagerTest, ExpiryShipsOneRootEventEnvelopePerSpout) {
+  const auto plan = BuildPlan(1);
+  ASSERT_NE(plan, nullptr);
+  VirtualClock clock;
+  Transport transport(GetParam());
+  StreamManager::Options options = BaseOptions(/*acking=*/true);
+  options.message_timeout_ms = 10;
+  StreamManager smgr(options, plan, &transport, &clock);
+  EnvelopeChannel spout0(64), spout1(64);
+  ASSERT_TRUE(transport.RegisterInstance(0, &spout0).ok());
+  ASSERT_TRUE(transport.RegisterInstance(1, &spout1).ok());
+
+  // 200 overdue roots per spout, registered alternately and with keys
+  // whose order differs from registration order.
+  constexpr int kRoots = 200;
+  std::vector<proto::RootEvent> want0, want1;
+  for (int i = 0; i < kRoots; ++i) {
+    const uint64_t suffix = static_cast<uint64_t>(kRoots - i) * 7919;
+    const api::TupleKey r0 = proto::MakeRootKey(0, suffix);
+    const api::TupleKey r1 = proto::MakeRootKey(1, suffix);
+    smgr.ProcessEnvelope(InstanceBatch(0, {"x"}, r0));
+    smgr.ProcessEnvelope(InstanceBatch(1, {"y"}, r1));
+    want0.push_back({r0, true});
+    want1.push_back({r1, true});
+    clock.AdvanceNanos(1000);
+  }
+  clock.AdvanceMillis(11);
+  smgr.ExpireAcksNow();
+
+  EXPECT_EQ(smgr.acks_pending(), 0u);
+  EXPECT_EQ(SoleRootEventBatch(&spout0, 0), want0);
+  EXPECT_EQ(SoleRootEventBatch(&spout1, 1), want1);
+  EXPECT_EQ(smgr.metrics()->GetCounter("smgr.roots.timeout")->value(),
+            2u * kRoots);
 }
 
 TEST_P(StreamManagerTest, FullChannelParksAndSetsBackpressure) {
