@@ -1,7 +1,9 @@
 #include "instance/instance.h"
 
 #include <algorithm>
+#include <chrono>
 #include <map>
+#include <thread>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -155,35 +157,13 @@ HeronInstance::HeronInstance(const Options& options,
 
 HeronInstance::~HeronInstance() { Stop(); }
 
-Status HeronInstance::Start() {
-  HERON_RETURN_NOT_OK(Prepare());
-  loop_.Start();
-  return Status::OK();
-}
-
-Status HeronInstance::StartStepMode() { return Prepare(); }
-
-Status HeronInstance::StartCooperative(runtime::TaskletPool* pool) {
-  HERON_RETURN_NOT_OK(Prepare());
-  // A tasklet must never block its pool worker: the SMGR tasklet draining
-  // our outbound channel may be scheduled *behind us on the same worker*,
-  // so a blocking send would deadlock the core. Full-channel sends park in
-  // the outbox backlog instead, retried by this idle worker.
-  outbox_->SetNonBlocking(true);
-  loop_.AddIdle([this] { return outbox_->PumpBacklog(); });
-  pool_ = pool;
-  pool_handle_ = pool->Add(&loop_);
-  return Status::OK();
-}
-
 Status HeronInstance::Prepare() {
-  if (running_.exchange(true)) {
+  if (started_) {
     return Status::FailedPrecondition("instance already running");
   }
   const packing::InstancePlan* inst = plan_->FindInstance(options_.task);
   const api::ComponentDef* def = plan_->ComponentOfTask(options_.task);
   if (inst == nullptr || def == nullptr) {
-    running_.store(false);
     return Status::NotFound(
         StrFormat("task %d not in physical plan", options_.task));
   }
@@ -248,45 +228,64 @@ Status HeronInstance::Prepare() {
       MaybeRestore();
     });
   }
+  // Input gate: while the outbox parks output, take no new input.
   loop_.AddChannel<proto::Envelope>(
       &inbound_,
-      [this](proto::Envelope&& env) { HandleEnvelope(std::move(env)); });
+      [this](proto::Envelope&& env) { HandleEnvelope(std::move(env)); },
+      [this] { return outbox_->HasBacklog(); });
+  // Parked output: retried every iteration. Nothing notifies the loop when
+  // the SMGR frees room, so while output stays parked the loop asks to
+  // wake again after its idle backoff; once the retry empties the backlog
+  // it asks for an immediate iteration, so gated input is taken at once.
+  loop_.AddService([this](int64_t now) {
+    if (!outbox_->HasBacklog()) return runtime::EventLoop::kNoDeadline;
+    outbox_->PumpBacklog();
+    return outbox_->HasBacklog() ? now + loop_.idle_backoff_nanos() : now;
+  });
   // Shutdown drain: ship whatever the outbox still stages.
   loop_.OnShutdown([this] { outbox_->Flush(); });
   return Status::OK();
 }
+
+namespace {
+
+/// How long Stop() keeps draining without progress before it gives up:
+/// parked output whose SMGR never drains (gone, or no longer driven) is
+/// dropped after this. Wall-clock on purpose — a SimClock never advances
+/// inside Stop().
+constexpr auto kStopPatience = std::chrono::milliseconds(500);
+
+}  // namespace
 
 void HeronInstance::Stop() {
   if (registered_) {
     transport_->UnregisterInstance(options_.task).ok();
     registered_ = false;
   }
-  running_.store(false);
-  // Close-then-join: the reactor drains remaining envelopes and runs the
-  // shutdown flush before exiting; Shutdown() covers step mode.
   inbound_.Close();
-  if (pool_handle_ != nullptr) {
-    // Cooperative: fence the pool worker off the loop, then finish the
-    // drain on this thread — exactly the iterations Run() would have done
-    // before exiting. Blocking delivery is safe again here: we are not a
-    // pool worker, and the SMGR tasklet (stopped after us) still drains.
-    pool_->Retire(pool_handle_);
-    pool_handle_ = nullptr;
-    outbox_->SetNonBlocking(false);
-    // Bounded: drops the backlog if the SMGR never drains (it is stopped
-    // after us, so in practice this empties within a few retries).
-    for (int i = 0; outbox_->HasBacklog() && i < 100000; ++i) {
-      if (!outbox_->PumpBacklog()) std::this_thread::yield();
+  if (!started_) return;
+  // The driver has retired the loop: finish here the iterations Run()
+  // would have done before exiting (remaining envelopes, once the input
+  // gate lets them in), then the shutdown flush, then parked output.
+  auto last_progress = std::chrono::steady_clock::now();
+  const auto patient = [&last_progress](bool progressed) {
+    const auto now = std::chrono::steady_clock::now();
+    if (progressed) {
+      last_progress = now;
+    } else {
+      std::this_thread::yield();
     }
-    while (!loop_.stopped() && !loop_.sources_done()) loop_.RunOnce();
+    return now - last_progress <= kStopPatience;
+  };
+  while (!loop_.stopped() && !loop_.sources_done() &&
+         patient(loop_.RunOnce())) {
   }
-  loop_.Join();
   loop_.Shutdown();
-  if (started_) {
-    if (spout_ != nullptr) spout_->Close();
-    if (bolt_ != nullptr) bolt_->Cleanup();
-    started_ = false;
+  while (outbox_->HasBacklog() && patient(outbox_->PumpBacklog())) {
   }
+  if (spout_ != nullptr) spout_->Close();
+  if (bolt_ != nullptr) bolt_->Cleanup();
+  started_ = false;
 }
 
 void HeronInstance::Kill() {
@@ -294,15 +293,9 @@ void HeronInstance::Kill() {
     transport_->UnregisterInstance(options_.task).ok();
     registered_ = false;
   }
-  running_.store(false);
   // Halt: no shutdown flush, no user Close/Cleanup — abrupt death.
   loop_.Halt();
-  if (pool_handle_ != nullptr) {
-    pool_->Retire(pool_handle_);
-    pool_handle_ = nullptr;
-  }
   inbound_.Close();
-  loop_.Join();
   started_ = false;
 }
 
@@ -376,10 +369,8 @@ bool HeronInstance::SpoutStep() {
     can_emit = false;  // Container-local spout back pressure.
   }
   if (outbox_->HasBacklog()) {
-    // Non-blocking mode with parked output: emitting more would only grow
-    // the backlog unboundedly — wait for the SMGR to drain (the pump idle
-    // worker is retrying). This is the cooperative analogue of the
-    // blocking send's implicit flow control.
+    // Parked output: emitting more would only grow the backlog — wait for
+    // the SMGR to drain (the backlog service is retrying).
     can_emit = false;
   }
   if (options_.acking && options_.max_spout_pending > 0 &&
@@ -530,10 +521,10 @@ void HeronInstance::ForwardBarrier(uint64_t ckpt_id) {
   // dest_task -1 = fan-out request: the local SMGR flushes its tuple
   // cache (pre-barrier data first) and barriers every consumer channel.
   // Shipping through the outbox keeps the barrier FIFO behind any data
-  // parked in the non-blocking backlog — a barrier overtaking data would
-  // corrupt the snapshot's pre-barrier prefix.
+  // parked in the backlog — a barrier overtaking data would corrupt the
+  // snapshot's pre-barrier prefix.
   env.dest_task = -1;
-  outbox_->ShipEnvelope(std::move(env));
+  outbox_->Ship(std::move(env));
 }
 
 void HeronInstance::AbortAlignment() {

@@ -17,7 +17,6 @@
 #include "observability/trace.h"
 #include "proto/physical_plan.h"
 #include "runtime/event_loop.h"
-#include "runtime/tasklet.h"
 #include "smgr/stream_manager.h"
 #include "smgr/transport.h"
 #include "statemgr/state_manager.h"
@@ -34,11 +33,21 @@ namespace instance {
 /// serialized instance ↔ SMGR wire, and runs on its own reactor
 /// (runtime::EventLoop) — the inbound channel is a registered source, the
 /// spout's NextTuple round is an idle worker, and user Open/Prepare run as
-/// startup hooks on the loop thread. Spouts additionally enforce the §V-B
-/// flow-control knob `max_spout_pending` ("the maximum number of tuples
-/// that can be pending on a spout task at any given time") and pause on
-/// the local SMGR's back-pressure flag. StartStepMode() arms the reactor
-/// without a thread for deterministic RunOnce() tests.
+/// startup hooks on the loop's first iteration. Spouts additionally
+/// enforce the §V-B flow-control knob `max_spout_pending` ("the maximum
+/// number of tuples that can be pending on a spout task at any given
+/// time") and pause on the local SMGR's back-pressure flag.
+///
+/// Lifecycle: Prepare() wires everything, but the instance never drives
+/// its own loop — its owner places loop() on a runtime::TaskletPool (a
+/// dedicated worker in thread mode, a shared one in cooperative mode) or
+/// steps it with RunOnce() (step mode), and retires it from that driver
+/// before Stop() or Kill(), which finish on the caller's thread.
+///
+/// Input gate: output never blocks — a full SMGR channel parks envelopes
+/// in the outbox backlog (see Outbox). While anything is parked the
+/// inbound channel stays shut and the spout emits nothing; a loop service
+/// retries the backlog and reopens the gate once the SMGR has drained.
 class HeronInstance {
  public:
   struct Options {
@@ -82,20 +91,17 @@ class HeronInstance {
   HeronInstance(const HeronInstance&) = delete;
   HeronInstance& operator=(const HeronInstance&) = delete;
 
-  /// Creates the user spout/bolt, registers the inbound channel, spawns
-  /// the executor thread.
-  Status Start();
-  /// Step-mode Start: full wiring, no thread — drive loop()->RunOnce().
-  Status StartStepMode();
-  /// Cooperative Start: full wiring, then hands the reactor to `pool` as a
-  /// tasklet instead of spawning a thread. The outbox switches to
-  /// non-blocking delivery (a tasklet must never block its pool worker)
-  /// and a backlog-pump idle worker retries parked envelopes.
-  Status StartCooperative(runtime::TaskletPool* pool);
-  /// Closes the channel, joins, runs user Close/Cleanup. Idempotent.
+  /// Creates the user spout/bolt, registers the inbound channel with the
+  /// transport and wires the reactor. Drive loop() afterwards.
+  Status Prepare();
+  /// Graceful stop, after the loop is retired from its driver: closes the
+  /// inbound channel, finishes the drain and the shutdown flush on the
+  /// caller's thread, ships parked output while the SMGR drains it, then
+  /// runs user Close/Cleanup. Idempotent.
   void Stop();
-  /// Hard-kill (fault injection): deregisters and halts the reactor. The
-  /// outbox flush and user Close/Cleanup never run — the process "died".
+  /// Hard-kill (fault injection), after the loop is retired from its
+  /// driver: deregisters and halts the reactor. The outbox flush, any
+  /// parked output and user Close/Cleanup never run — the process "died".
   /// In-flight roots this spout tracked are lost with it; their trees time
   /// out at the ack tracker and replay from the restarted incarnation.
   void Kill();
@@ -117,8 +123,6 @@ class HeronInstance {
   class SpoutCollector;
   class BoltCollector;
 
-  /// Shared Start/StartStepMode body: user objects, transport, reactor.
-  Status Prepare();
   /// Spout idle worker: one NextTuple round; true when tuples were emitted.
   bool SpoutStep();
   /// Inbound envelope dispatch (root events for spouts, batches for bolts).
@@ -198,13 +202,8 @@ class HeronInstance {
   std::vector<serde::Buffer> aligned_buffer_;  ///< Post-barrier batches.
 
   runtime::EventLoop loop_;
-  std::atomic<bool> running_{false};
   bool registered_ = false;
   bool started_ = false;
-
-  // Cooperative mode: the pool driving loop_ (null in thread/step mode).
-  runtime::TaskletPool* pool_ = nullptr;
-  runtime::TaskletPool::Handle* pool_handle_ = nullptr;
 
   // Hot-path metric handles.
   metrics::Counter* emitted_;

@@ -20,17 +20,15 @@ namespace instance {
 /// once, the SMGR routes the serialized form (§V-A), and only the
 /// receiving instance deserializes.
 ///
-/// Two delivery modes:
-///  - **blocking** (thread-per-instance, default): sends block when the
-///    SMGR inbound is full — safe because the SMGR loop never blocks, so
-///    it always drains;
-///  - **non-blocking** (`SetNonBlocking(true)`, cooperative mode): a
-///    tasklet must never block its pool worker (the SMGR tasklet draining
-///    our channel may be *behind us on the same worker* — a blocking send
-///    would deadlock the core). Full-channel sends instead park the
-///    envelope in a FIFO backlog retried by PumpBacklog(); while a backlog
-///    exists every later envelope parks behind it, so tuple order is
-///    preserved (no overtake).
+/// Delivery never blocks: the instance's loop may share a pool worker with
+/// the SMGR loop that drains its channel, so a blocking send could wedge
+/// the worker. A send into a full channel parks the envelope in a FIFO
+/// backlog retried by PumpBacklog(); while a backlog exists every later
+/// envelope parks behind it, so tuple order is preserved (no overtake).
+/// Flow control is the instance's job: while HasBacklog(), it takes no
+/// new input and its spout emits nothing (see HeronInstance), so the
+/// backlog stays bounded by what one input envelope or one NextTuple
+/// round produces.
 class Outbox {
  public:
   /// \param flush_tuples  per-stream batch size that triggers a flush
@@ -48,17 +46,12 @@ class Outbox {
   /// loop iteration so nothing lingers while the instance waits for input.
   void Flush();
 
-  /// Ships an already-built envelope through the same FIFO discipline as
-  /// staged batches — checkpoint barriers use this so a barrier can never
-  /// overtake data parked in the backlog.
-  void ShipEnvelope(proto::Envelope env);
-
-  /// Selects the delivery mode (see class comment). Toggle only while no
-  /// send is in flight (pre-start, or after the tasklet is retired).
-  void SetNonBlocking(bool on) { nonblocking_ = on; }
+  /// Delivers an already-built envelope, or parks it behind the backlog
+  /// (full channel) — the FIFO discipline staged batches ship through, so
+  /// a checkpoint barrier can never overtake data parked in the backlog.
+  void Ship(proto::Envelope env);
 
   /// Retries parked envelopes in FIFO order; true when any shipped.
-  /// Cooperative instances register this as an idle worker.
   bool PumpBacklog();
   bool HasBacklog() const { return !backlog_.empty(); }
 
@@ -76,8 +69,6 @@ class Outbox {
   };
 
   void FlushStream(const StreamId& stream, PendingBatch* batch);
-  /// Delivers or (non-blocking mode, full channel) parks `env`.
-  void Ship(proto::Envelope env);
 
   TaskId task_;
   ComponentId component_;
@@ -87,7 +78,6 @@ class Outbox {
 
   std::map<StreamId, PendingBatch> pending_;
   std::map<TaskId, proto::AckBatchMsg> pending_acks_;
-  bool nonblocking_ = false;
   std::deque<proto::Envelope> backlog_;
   uint64_t tuples_emitted_ = 0;
   uint64_t batches_sent_ = 0;

@@ -94,6 +94,10 @@ class Fabric {
   virtual void Pump() = 0;
   virtual void PumpLink(uint64_t key) = 0;
   virtual FabricStats stats() const = 0;
+  /// Frames SendFrame accepted on `key` that its sink has not taken yet
+  /// (0 for an unknown link). Senders count them against the receiver's
+  /// window, since the receiving channel cannot see them.
+  virtual size_t InFlight(uint64_t key) const { return 0; }
 
   void StartPump();
   void StopPump();
@@ -154,6 +158,7 @@ class SocketFabric final : public Fabric {
   void Pump() override;
   void PumpLink(uint64_t key) override;
   FabricStats stats() const override;
+  size_t InFlight(uint64_t key) const override;
 
  private:
   struct Link {
@@ -170,6 +175,7 @@ class SocketFabric final : public Fabric {
     bool stalled = false;
     serde::FrameHeader stalled_header;
     serde::Buffer stalled_payload;
+    size_t in_flight = 0;  ///< Frames sent, not yet taken by the sink.
   };
 
   Status FlushPendingLocked(Link* link);
@@ -201,6 +207,7 @@ class ShmRingFabric final : public Fabric {
   void Pump() override;
   void PumpLink(uint64_t key) override;
   FabricStats stats() const override;
+  size_t InFlight(uint64_t key) const override;
 
  private:
   struct Ring {
@@ -209,6 +216,7 @@ class ShmRingFabric final : public Fabric {
     std::atomic<uint64_t> head{0};  ///< Next write offset (monotonic).
     std::atomic<uint64_t> tail{0};  ///< Next read offset (monotonic).
     FrameSink sink;
+    size_t in_flight = 0;  ///< Frames sent, not yet taken by the sink.
   };
 
   void WriteWrapped(Ring* ring, uint64_t at, const char* src, size_t len);

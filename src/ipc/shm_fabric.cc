@@ -102,6 +102,7 @@ Status ShmRingFabric::SendFrame(uint64_t key, const serde::FrameHeader& header,
   ring->head.store(head + frame_bytes, std::memory_order_release);
 
   ++stats_.frames_sent;
+  ++ring->in_flight;
   stats_.bytes_on_wire += frame_bytes;
   return Status::OK();
 }
@@ -140,6 +141,7 @@ void ShmRingFabric::PumpRingLocked(Ring* ring) {
     }
     // Release: senders' acquire load of tail sees the freed space.
     ring->tail.store(tail + frame_bytes, std::memory_order_release);
+    --ring->in_flight;
     if (st.ok()) ++stats_.frames_delivered;
   }
 }
@@ -153,6 +155,12 @@ void ShmRingFabric::PumpLink(uint64_t key) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = links_.find(key);
   if (it != links_.end()) PumpRingLocked(it->second.get());
+}
+
+size_t ShmRingFabric::InFlight(uint64_t key) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = links_.find(key);
+  return it == links_.end() ? 0 : it->second->in_flight;
 }
 
 FabricStats ShmRingFabric::stats() const {

@@ -15,7 +15,7 @@ namespace ipc {
 
 namespace {
 
-Status SetNonBlocking(int fd) {
+Status MakeNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
     return Status::IOError(
@@ -49,8 +49,8 @@ Status SocketFabric::OpenLink(uint64_t key, FrameSink sink) {
     return Status::IOError(
         StrFormat("socketpair failed: %s", std::strerror(errno)));
   }
-  Status st = SetNonBlocking(fds[0]);
-  if (st.ok()) st = SetNonBlocking(fds[1]);
+  Status st = MakeNonBlocking(fds[0]);
+  if (st.ok()) st = MakeNonBlocking(fds[1]);
   if (!st.ok()) {
     ::close(fds[0]);
     ::close(fds[1]);
@@ -161,6 +161,7 @@ Status SocketFabric::SendFrame(uint64_t key, const serde::FrameHeader& header,
   }
 
   ++stats_.frames_sent;
+  ++link->in_flight;
   stats_.bytes_on_wire += frame_bytes;
   // The payload was copied to the wire; hand the intact buffer back for
   // the caller to recycle through its pool.
@@ -181,6 +182,7 @@ void SocketFabric::PumpLinkLocked(Link* link) {
     }
     link->stalled = false;
     link->stalled_payload = serde::Buffer();
+    --link->in_flight;
     if (st.ok()) ++stats_.frames_delivered;
   }
 
@@ -225,6 +227,7 @@ void SocketFabric::PumpLinkLocked(Link* link) {
       link->stalled_payload = std::move(payload);
       break;
     }
+    --link->in_flight;
     if (st.ok()) ++stats_.frames_delivered;
   }
   if (consumed > 0) link->rdbuf.erase(0, consumed);
@@ -245,6 +248,12 @@ void SocketFabric::DrainAndCloseLocked(Link* link) {
   ::close(link->read_fd);
   link->write_fd = -1;
   link->read_fd = -1;
+}
+
+size_t SocketFabric::InFlight(uint64_t key) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = links_.find(key);
+  return it == links_.end() ? 0 : it->second->in_flight;
 }
 
 void SocketFabric::Pump() {

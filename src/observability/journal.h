@@ -1,11 +1,11 @@
 #ifndef HERON_OBSERVABILITY_JOURNAL_H_
 #define HERON_OBSERVABILITY_JOURNAL_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
+
+#include "observability/seq_ring.h"
 
 namespace heron {
 namespace observability {
@@ -69,27 +69,26 @@ struct JournalEvent {
   }
 };
 
-/// \brief Wait-free bounded flight recorder: one ring per container plus
-/// one for the control plane, same claim/stamp discipline as SpanCollector.
+/// \brief Bounded flight recorder: one ring per container plus one for
+/// the control plane, a SeqRing (seq_ring.h) of packed events.
 ///
-/// Record() claims a slot with a relaxed fetch_add, invalidates the slot's
-/// stamp, stores the fields relaxed, and publishes with a release stamp —
-/// no locks, no allocation, safe from any thread including inside other
-/// components' critical sections. On wrap the oldest events are
-/// overwritten and counted in dropped().
+/// Record() claims a slot and publishes it with no lock and no allocation,
+/// so it is safe from any thread including inside other components'
+/// critical sections. On wrap the oldest events are overwritten and
+/// counted in dropped().
 ///
 /// Snapshot() returns the retained events oldest-first; slots caught
 /// mid-overwrite are detected through the stamp and skipped, so concurrent
-/// Record/Snapshot is TSan-clean (every shared field is atomic).
+/// Record/Snapshot is TSan-clean (every shared word is atomic).
 class EventJournal {
  public:
-  explicit EventJournal(size_t capacity);
+  explicit EventJournal(size_t capacity) : ring_(capacity) {}
 
   EventJournal(const EventJournal&) = delete;
   EventJournal& operator=(const EventJournal&) = delete;
 
-  /// Wait-free; callable from any thread. detail may be nullptr; it is
-  /// truncated to kJournalDetailBytes.
+  /// Callable from any thread. detail may be nullptr; it is truncated to
+  /// kJournalDetailBytes.
   void Record(JournalEventType type, int32_t origin, int32_t task,
               int64_t at_nanos, int64_t arg0, int64_t arg1,
               const char* detail = nullptr);
@@ -98,36 +97,28 @@ class EventJournal {
   std::vector<JournalEvent> Snapshot() const;
 
   /// Events ever recorded (including overwritten ones).
-  uint64_t total_recorded() const {
-    return next_.load(std::memory_order_acquire);
-  }
+  uint64_t total_recorded() const { return ring_.total_recorded(); }
   /// Events lost to ring wraparound.
-  uint64_t dropped() const;
-  size_t capacity() const { return capacity_; }
+  uint64_t dropped() const { return ring_.dropped(); }
+  size_t capacity() const { return ring_.capacity(); }
 
  private:
-  struct Slot {
-    /// 0 = empty; otherwise 1 + the global record index that owns the
-    /// slot's current contents. Written last (release) by Record.
-    std::atomic<uint64_t> stamp{0};
-    std::atomic<uint8_t> type{0};
-    std::atomic<int32_t> origin{-1};
-    std::atomic<int32_t> task{-1};
-    std::atomic<int64_t> at_nanos{0};
-    std::atomic<int64_t> arg0{0};
-    std::atomic<int64_t> arg1{0};
-    /// kJournalDetailBytes of tag text packed little-endian into two
-    /// words so the whole event stays lock-free.
-    std::atomic<uint64_t> detail_lo{0};
-    std::atomic<uint64_t> detail_hi{0};
+  /// JournalEvent without its index and with the detail tag inline, so
+  /// the record is trivially copyable.
+  struct Packed {
+    int64_t at_nanos;
+    int64_t arg0;
+    int64_t arg1;
+    int32_t origin;
+    int32_t task;
+    char detail[kJournalDetailBytes];
+    JournalEventType type;
   };
 
-  const size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> next_{0};
+  SeqRing<Packed> ring_;
 };
 
-/// \brief One cooperative-scheduler slice: tasklet `tasklet` ran on worker
+/// \brief One scheduler slice: tasklet `tasklet` ran on worker
 /// `worker` from `start_nanos` for `dur_nanos`. Only slices that made
 /// progress are recorded — idle passes would drown the ring.
 struct SchedSlice {
@@ -142,41 +133,31 @@ struct SchedSlice {
   }
 };
 
-/// \brief Wait-free bounded ring of scheduler slices, same claim/stamp
-/// discipline as EventJournal/SpanCollector. One per TaskletPool; workers
-/// record concurrently, the timeline exporter snapshots live.
+/// \brief Bounded ring of scheduler slices, a SeqRing (seq_ring.h). One
+/// per TaskletPool; workers record concurrently, the timeline exporter
+/// snapshots live.
 class SliceRing {
  public:
-  explicit SliceRing(size_t capacity);
+  explicit SliceRing(size_t capacity) : ring_(capacity) {}
 
   SliceRing(const SliceRing&) = delete;
   SliceRing& operator=(const SliceRing&) = delete;
 
-  /// Wait-free; callable from any pool worker.
+  /// Callable from any pool worker.
   void Record(int32_t worker, int32_t tasklet, int64_t start_nanos,
-              int64_t dur_nanos);
+              int64_t dur_nanos) {
+    ring_.Record(SchedSlice{worker, tasklet, start_nanos, dur_nanos});
+  }
 
   /// Retained slices oldest-first in record order.
-  std::vector<SchedSlice> Snapshot() const;
+  std::vector<SchedSlice> Snapshot() const { return ring_.Snapshot(); }
 
-  uint64_t total_recorded() const {
-    return next_.load(std::memory_order_acquire);
-  }
-  uint64_t dropped() const;
-  size_t capacity() const { return capacity_; }
+  uint64_t total_recorded() const { return ring_.total_recorded(); }
+  uint64_t dropped() const { return ring_.dropped(); }
+  size_t capacity() const { return ring_.capacity(); }
 
  private:
-  struct Slot {
-    std::atomic<uint64_t> stamp{0};
-    std::atomic<int32_t> worker{-1};
-    std::atomic<int32_t> tasklet{-1};
-    std::atomic<int64_t> start_nanos{0};
-    std::atomic<int64_t> dur_nanos{0};
-  };
-
-  const size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> next_{0};
+  SeqRing<SchedSlice> ring_;
 };
 
 }  // namespace observability

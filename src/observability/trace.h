@@ -2,11 +2,10 @@
 #define HERON_OBSERVABILITY_TRACE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
+
+#include "observability/seq_ring.h"
 
 namespace heron {
 namespace observability {
@@ -47,55 +46,42 @@ struct Span {
   }
 };
 
-/// \brief Wait-free fixed-capacity span sink: one per container, shared by
-/// its SMGR and all its instances.
+/// \brief Fixed-capacity span sink: one per container, shared by its SMGR
+/// and all its instances.
 ///
-/// Record() is a relaxed fetch_add to claim a slot plus relaxed atomic
-/// field stores and one release publish — no locks, no allocation, no
-/// branches beyond the modulo, so traced tuples cost nanoseconds and
+/// A SeqRing<Span> (seq_ring.h): Record() claims a slot and publishes it
+/// with no lock and no allocation, so traced tuples cost nanoseconds and
 /// untraced tuples never get here at all (callers gate on trace_id != 0).
 /// On wrap the oldest spans are overwritten and counted in dropped().
 ///
 /// Snapshot() returns the retained spans oldest-first in record order; a
 /// slot mid-overwrite is detected through its sequence stamp and skipped,
 /// so concurrent Record/Snapshot is safe (and TSan-clean: every shared
-/// field is atomic).
+/// word is atomic).
 class SpanCollector {
  public:
-  explicit SpanCollector(size_t capacity);
+  explicit SpanCollector(size_t capacity) : ring_(capacity) {}
 
   SpanCollector(const SpanCollector&) = delete;
   SpanCollector& operator=(const SpanCollector&) = delete;
 
-  /// Wait-free; callable from any thread.
+  /// Callable from any thread.
   void Record(uint64_t trace_id, TraceStage stage, int32_t location,
-              int64_t at_nanos);
+              int64_t at_nanos) {
+    ring_.Record(Span{trace_id, stage, location, at_nanos});
+  }
 
   /// Retained spans, oldest-first in record order.
-  std::vector<Span> Snapshot() const;
+  std::vector<Span> Snapshot() const { return ring_.Snapshot(); }
 
   /// Spans ever recorded (including overwritten ones).
-  uint64_t total_recorded() const {
-    return next_.load(std::memory_order_acquire);
-  }
+  uint64_t total_recorded() const { return ring_.total_recorded(); }
   /// Spans lost to ring wraparound.
-  uint64_t dropped() const;
-  size_t capacity() const { return capacity_; }
+  uint64_t dropped() const { return ring_.dropped(); }
+  size_t capacity() const { return ring_.capacity(); }
 
  private:
-  struct Slot {
-    /// 0 = empty; otherwise 1 + the global record index that owns the
-    /// slot's current contents. Written last (release) by Record.
-    std::atomic<uint64_t> stamp{0};
-    std::atomic<uint64_t> trace_id{0};
-    std::atomic<uint8_t> stage{0};
-    std::atomic<int32_t> location{-1};
-    std::atomic<int64_t> at_nanos{0};
-  };
-
-  const size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> next_{0};
+  SeqRing<Span> ring_;
 };
 
 /// \brief One traced tuple's assembled stage timeline.

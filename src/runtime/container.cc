@@ -28,16 +28,20 @@ Container::Container(const packing::ContainerPlan& plan,
 
 Container::~Container() { Stop(); }
 
-Status Container::Start() { return StartInternal(/*step_mode=*/false); }
+TaskletPool::Handle* Container::Place(EventLoop* loop) {
+  return tasklet_pool_ != nullptr ? tasklet_pool_->Add(loop) : nullptr;
+}
 
-Status Container::StartStepMode() { return StartInternal(/*step_mode=*/true); }
+void Container::Unplace(TaskletPool::Handle** handle) {
+  if (tasklet_pool_ != nullptr) tasklet_pool_->Retire(*handle);
+  *handle = nullptr;
+}
 
-Status Container::StartInternal(bool step_mode) {
+Status Container::Start() {
   if (started_) {
     return Status::FailedPrecondition(
         StrFormat("container %d already started", plan_.id));
   }
-  step_mode_ = step_mode;
 
   smgr::StreamManager::Options smgr_options;
   smgr_options.container = plan_.id;
@@ -62,13 +66,8 @@ Status Container::StartInternal(bool step_mode) {
   recovering_ = false;
   smgr_ = std::make_unique<smgr::StreamManager>(smgr_options, physical_plan_,
                                                 transport_, clock_);
-  if (step_mode) {
-    HERON_RETURN_NOT_OK(smgr_->StartStepMode());
-  } else if (tasklet_pool_ != nullptr) {
-    HERON_RETURN_NOT_OK(smgr_->StartCooperative(tasklet_pool_));
-  } else {
-    HERON_RETURN_NOT_OK(smgr_->Start());
-  }
+  HERON_RETURN_NOT_OK(smgr_->Prepare());
+  smgr_handle_ = Place(smgr_->loop());
   metrics_manager_
       .RegisterSource(StrFormat("smgr-%d", plan_.id), smgr_->metrics())
       .ok();
@@ -93,14 +92,7 @@ Status Container::StartInternal(bool step_mode) {
     options.checkpoint_epoch = checkpoint_epoch_;
     auto instance = std::make_unique<instance::HeronInstance>(
         options, physical_plan_, transport_, clock_, smgr_.get());
-    Status st;
-    if (step_mode) {
-      st = instance->StartStepMode();
-    } else if (tasklet_pool_ != nullptr) {
-      st = instance->StartCooperative(tasklet_pool_);
-    } else {
-      st = instance->Start();
-    }
+    const Status st = instance->Prepare();
     if (!st.ok()) {
       Stop();
       return st.WithContext(
@@ -111,6 +103,7 @@ Status Container::StartInternal(bool step_mode) {
         .RegisterSource(StrFormat("task-%d", inst.task_id),
                         instance->metrics())
         .ok();
+    instance_handles_.push_back(Place(instance->loop()));
     instances_.push_back(std::move(instance));
   }
 
@@ -127,13 +120,7 @@ Status Container::StartInternal(bool step_mode) {
                               [this] { metrics_manager_.Collect(); });
     housekeeping_wired_ = true;
   }
-  if (!step_mode) {
-    if (tasklet_pool_ != nullptr) {
-      housekeeping_handle_ = tasklet_pool_->Add(&housekeeping_);
-    } else {
-      housekeeping_.Start();
-    }
-  }
+  housekeeping_handle_ = Place(&housekeeping_);
 
   started_ = true;
   HLOG(INFO) << "container " << plan_.id << " up: smgr + "
@@ -142,8 +129,8 @@ Status Container::StartInternal(bool step_mode) {
 }
 
 void Container::Step() {
-  if (!started_ || !step_mode_) return;
-  if (smgr_ != nullptr) smgr_->loop()->RunOnce();
+  if (!started_ || tasklet_pool_ != nullptr) return;
+  smgr_->loop()->RunOnce();
   for (auto& instance : instances_) {
     instance->loop()->RunOnce();
   }
@@ -152,50 +139,33 @@ void Container::Step() {
 
 void Container::Fail() {
   if (!started_) return;
-  // Halt order mirrors Stop()'s join-before-destroy discipline, but with
-  // Halt instead of Stop: no shutdown drain anywhere. Housekeeping first —
-  // its Collect() snapshots registries the kills below will orphan.
-  housekeeping_.Halt();
-  if (housekeeping_handle_ != nullptr) {
-    tasklet_pool_->Retire(housekeeping_handle_);
-    housekeeping_handle_ = nullptr;
-  }
-  housekeeping_.Join();
-  for (auto& instance : instances_) {
-    instance->Kill();
-  }
-  if (smgr_ != nullptr) {
-    smgr_->Kill();
-  }
-  // Only now — every thread joined — may the endpoints be destroyed.
-  instances_.clear();
-  smgr_.reset();
-  started_ = false;
+  TearDown(/*graceful=*/false);
   HLOG(INFO) << "container " << plan_.id << " KILLED (fault injection)";
 }
 
-void Container::Stop() {
+void Container::Stop() { TearDown(/*graceful=*/true); }
+
+void Container::TearDown(bool graceful) {
   // Housekeeping first: Collect() snapshots the instance registries, so
-  // the collection loop must be parked before any registry dies.
-  if (housekeeping_handle_ != nullptr) {
-    tasklet_pool_->Retire(housekeeping_handle_);
-    housekeeping_handle_ = nullptr;
-  }
-  housekeeping_.Stop();
-  housekeeping_.Join();
-  housekeeping_.Shutdown();
-  // Park every thread before destroying any endpoint: the SMGR's wire
-  // thread can be mid-TrySend into an instance channel (delivering a
+  // the collection loop must be retired before any registry dies.
+  Unplace(&housekeeping_handle_);
+  graceful ? housekeeping_.Shutdown() : housekeeping_.Halt();
+  // Retire and stop every module before destroying any endpoint: the
+  // SMGR's loop can be mid-TrySend into an instance channel (delivering a
   // routed batch or a parked retry), so no instance may be destroyed
-  // until the SMGR has joined — and vice versa for instances still
-  // flushing toward the SMGR.
-  for (auto& instance : instances_) {
-    instance->Stop();
+  // until the SMGR is retired — and vice versa for instances still
+  // flushing toward the SMGR. Each instance drains while the SMGR is still
+  // driven, so the SMGR takes what the instance's outbox parked.
+  for (size_t i = 0; i < instances_.size(); ++i) {
+    Unplace(&instance_handles_[i]);
+    graceful ? instances_[i]->Stop() : instances_[i]->Kill();
   }
   if (smgr_ != nullptr) {
-    smgr_->Stop();
+    Unplace(&smgr_handle_);
+    graceful ? smgr_->Stop() : smgr_->Kill();
   }
   instances_.clear();
+  instance_handles_.clear();
   smgr_.reset();
   started_ = false;
 }

@@ -28,6 +28,12 @@ namespace runtime {
 /// kMetricsCollectIntervalMs) — the same kernel every other module loop
 /// runs on. Stop() halts the housekeeping loop before tearing down the
 /// instances whose registries it snapshots.
+///
+/// The container is also where module loops meet their driver: Start()
+/// prepares each module and hands its loop to the TaskletPool (per-loop
+/// workers in thread mode, shared ones in cooperative mode), and teardown
+/// retires each loop before the module's own Stop()/Kill(). Without a
+/// pool the container is in step mode and its owner drives Step().
 class Container {
  public:
   /// \param config  merged topology + cluster config, source of the SMGR
@@ -41,15 +47,14 @@ class Container {
   Container(const Container&) = delete;
   Container& operator=(const Container&) = delete;
 
-  /// Starts the SMGR first (instances need a routable container), then
-  /// every instance, and registers all metric sources.
+  /// Prepares the SMGR first (instances need a routable container), then
+  /// every instance, registers all metric sources and places every module
+  /// loop on the pool (see set_tasklet_pool).
   Status Start();
-  /// Step-mode Start: full wiring (SMGR, instances, housekeeping timers)
-  /// but zero threads — the caller drives Step(). Deterministic under a
-  /// SimClock; this is how the failure-recovery tests replay a kill.
-  Status StartStepMode();
-  /// One step-mode round: SMGR reactor, every instance reactor, then the
-  /// housekeeping (metrics collection) reactor, each RunOnce.
+  /// Step mode (no pool): one round — SMGR reactor, every instance
+  /// reactor, then the housekeeping (metrics collection) reactor, each
+  /// RunOnce. Deterministic under a SimClock; this is how the
+  /// failure-recovery tests replay a kill. A no-op when a pool drives.
   void Step();
   /// Stops instances first, then the SMGR. Idempotent.
   void Stop();
@@ -64,10 +69,9 @@ class Container {
   /// throttle ref the dead predecessor held (see Options::announce_recovery).
   void MarkRecovering() { recovering_ = true; }
 
-  /// Cooperative execution: every module loop this container starts (SMGR,
-  /// instances, housekeeping) becomes a tasklet on `pool` instead of owning
-  /// a thread. Must be set before Start; null (the default) keeps
-  /// thread-per-instance. Ignored in step mode (zero threads either way).
+  /// The driver of every module loop this container starts (SMGR,
+  /// instances, housekeeping). Must be set before Start; null (the
+  /// default) is step mode: the caller drives Step().
   void set_tasklet_pool(TaskletPool* pool) { tasklet_pool_ = pool; }
 
   /// Attaches the container's span sink for sampled tuple-path tracing
@@ -142,9 +146,12 @@ class Container {
   EventLoop housekeeping_;
   bool housekeeping_wired_ = false;
   TaskletPool* tasklet_pool_ = nullptr;
+  /// Pool handles (null in step mode); instance_handles_ parallels
+  /// instances_.
+  TaskletPool::Handle* smgr_handle_ = nullptr;
+  std::vector<TaskletPool::Handle*> instance_handles_;
   TaskletPool::Handle* housekeeping_handle_ = nullptr;
   bool started_ = false;
-  bool step_mode_ = false;
   bool recovering_ = false;
   observability::SpanCollector* span_collector_ = nullptr;
   observability::EventJournal* journal_ = nullptr;
@@ -152,8 +159,13 @@ class Container {
   uint64_t restore_checkpoint_ = 0;
   int64_t checkpoint_epoch_ = 0;
 
-  /// Shared Start/StartStepMode body.
-  Status StartInternal(bool step_mode);
+  /// Hands `loop` to the pool; null in step mode.
+  TaskletPool::Handle* Place(EventLoop* loop);
+  /// Retires `*handle` from the pool (if any) and clears it.
+  void Unplace(TaskletPool::Handle** handle);
+  /// Stop (graceful) or Fail: housekeeping, instances, then the SMGR, each
+  /// retired from the pool before it stops or dies.
+  void TearDown(bool graceful);
 };
 
 }  // namespace runtime

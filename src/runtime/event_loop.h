@@ -55,9 +55,12 @@ namespace runtime {
 /// channel source is closed *and drained* (shutdown-drain: no envelope is
 /// stranded). On exit it runs the `OnShutdown` hooks exactly once (final
 /// cache drains, outbox flushes). `Start()`/`Join()` wrap Run in an owned
-/// thread. Registration calls (AddChannel/AddTimer/...) must come from
-/// the loop thread itself (i.e. inside callbacks) or before the loop
-/// starts; `Stop()` and `Nudge()` are safe from any thread.
+/// thread — the Storm baseline's workers use that; Heron's module loops
+/// are driven from outside instead, by a runtime::TaskletPool or by
+/// step-mode RunOnce() calls (see below). Registration calls
+/// (AddChannel/AddTimer/...) must come from the loop thread itself (i.e.
+/// inside callbacks) or before the loop starts; `Stop()` and `Nudge()` are
+/// safe from any thread.
 ///
 /// ## Instrumentation
 /// When `Options::registry` is set, the loop maintains uniformly-named
@@ -107,15 +110,24 @@ class EventLoop {
   /// channel's alive token, so a channel destroyed before the loop is
   /// skipped instead of having its dead mutex locked (undefined behavior
   /// that wedged the UBSan lane).
+  ///
+  /// `gate`, when set, holds the source shut while it returns true: the
+  /// loop takes nothing from the channel, checked before every item (an
+  /// instance whose outbox parks output takes no new input). Whatever
+  /// opens the gate must also make the loop iterate again — a service
+  /// deadline, say — since nothing notifies the loop when it opens.
   template <typename T>
   SourceId AddChannel(ipc::Channel<T>* channel,
-                      std::function<void(T&&)> handler) {
+                      std::function<void(T&&)> handler,
+                      std::function<bool()> gate = nullptr) {
     channel->BindWakeup(&wakeup_);
     Source source;
     source.id = next_source_id_++;
-    source.poll = [channel, handler = std::move(handler)](
-                      size_t burst, size_t* handled) -> bool {
+    source.poll = [channel, handler = std::move(handler),
+                   gate = std::move(gate)](size_t burst,
+                                           size_t* handled) -> bool {
       for (size_t i = 0; i < burst; ++i) {
+        if (gate && gate()) break;
         ipc::RecvState state;
         auto item = channel->TryRecv(&state);
         if (state == ipc::RecvState::kClosed) return true;
@@ -195,7 +207,7 @@ class EventLoop {
   /// Wakes a parked loop from any thread.
   void Nudge() { wakeup_.Notify(); }
 
-  // -- Cooperative driving (runtime::TaskletPool) --------------------------
+  // -- External driving (runtime::TaskletPool) -----------------------------
   //
   // A tasklet drives the loop via RunOnce() from a pool worker thread
   // instead of Run() on an owned thread. These accessors expose exactly
@@ -204,12 +216,12 @@ class EventLoop {
   // chains to its worker, and the deadlines that bound the worker's park.
   // All of them follow the loop's single-driver discipline.
 
-  /// Per-iteration source drain bound; cooperative tasklets retune this
-  /// between slices. Call only from the driving thread (or pre-start).
+  /// Per-iteration source drain bound; tasklets retune this between
+  /// slices. Call only from the driving thread (or pre-start).
   void set_burst(size_t burst) { options_.burst = burst; }
   size_t burst() const { return options_.burst; }
   /// Envelopes drained across all sources by the most recent Step(): the
-  /// denominator a cooperative driver needs to turn a step's wall time
+  /// denominator an external driver needs to turn a step's wall time
   /// into a per-tuple cost estimate. Call only from the driving thread.
   size_t last_step_handled() const { return last_step_handled_; }
   /// True when every registered channel source is closed and drained — the

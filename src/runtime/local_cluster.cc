@@ -103,8 +103,8 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
 
   // Execution-mode selection, same precedence as the transport: config
   // key, then the HERON_EXECUTION_MODE environment override, default
-  // thread-per-instance. Step mode wins over cooperative — a step-mode
-  // universe is threadless by definition, so no pool is built.
+  // thread-per-instance. Step mode wins over both — a step-mode universe
+  // is threadless by definition, so no pool is built.
   std::string execution_mode =
       merged_config_.GetStringOr(config_keys::kExecutionMode, "");
   if (execution_mode.empty()) {
@@ -140,20 +140,30 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
         std::make_unique<observability::SliceRing>(slice_ring_capacity_);
   }
 
+  // The driver of every module loop: one worker per loop in thread mode,
+  // a shared worker set in cooperative mode.
   tasklet_pool_.reset();
-  if (execution_mode == "cooperative" && !step_mode_) {
+  if (!step_mode_) {
     TaskletPool::Options pool_options;
     pool_options.profile = journal_ring_capacity_ > 0;
     pool_options.slice_ring = slice_ring_.get();
-    pool_options.workers = static_cast<size_t>(
-        merged_config_.GetIntOr(config_keys::kExecutionWorkers, 0));
-    HERON_ASSIGN_OR_RETURN(
-        pool_options.idle_policy,
-        ParseIdlePolicy(merged_config_.GetStringOr(
-            config_keys::kExecutionIdlePolicy, "condvar-park")));
-    pool_options.tasklet.target_slice_nanos = merged_config_.GetIntOr(
-        config_keys::kExecutionSliceNanos,
-        pool_options.tasklet.target_slice_nanos);
+    if (execution_mode == "thread") {
+      pool_options.placement = Placement::kPerLoop;
+      // A dedicated worker parks as EventLoop::Run() would, up to the
+      // module loops' own cap; timers, services and idle workers bound it
+      // tighter.
+      pool_options.max_park_nanos = 100000000;  // 100 ms.
+    } else {
+      pool_options.workers = static_cast<size_t>(
+          merged_config_.GetIntOr(config_keys::kExecutionWorkers, 0));
+      HERON_ASSIGN_OR_RETURN(
+          pool_options.idle_policy,
+          ParseIdlePolicy(merged_config_.GetStringOr(
+              config_keys::kExecutionIdlePolicy, "condvar-park")));
+      pool_options.tasklet.target_slice_nanos = merged_config_.GetIntOr(
+          config_keys::kExecutionSliceNanos,
+          pool_options.tasklet.target_slice_nanos);
+    }
     tasklet_pool_ = std::make_unique<TaskletPool>(pool_options, clock_);
     tasklet_pool_->Start();
   }
@@ -374,8 +384,8 @@ Status LocalCluster::Kill() {
   tmaster_->Stop().ok();
   statemgr::UnregisterTopology(&state_, topology_->name()).ok();
   packing_->Close();
-  // Cooperative pool last: every container (and thus every tasklet) is
-  // stopped and retired by OnKill above, so the workers are idle.
+  // The pool last: every container (and thus every tasklet) is stopped
+  // and retired by OnKill above, so the workers are idle.
   if (tasklet_pool_ != nullptr) {
     tasklet_pool_->Stop();
     tasklet_pool_.reset();
@@ -869,8 +879,8 @@ Status LocalCluster::StartContainer(const packing::ContainerPlan& container) {
     // death (and a recovering container stays dead until it truly beats).
     tmaster_->ExpectContainer(container.id).ok();
   }
-  if (tasklet_pool_ != nullptr) live->set_tasklet_pool(tasklet_pool_.get());
-  HERON_RETURN_NOT_OK(step_mode_ ? live->StartStepMode() : live->Start());
+  live->set_tasklet_pool(tasklet_pool_.get());
+  HERON_RETURN_NOT_OK(live->Start());
   std::lock_guard<std::mutex> lock(mutex_);
   containers_[container.id] = std::move(live);
   return Status::OK();
@@ -1148,7 +1158,7 @@ observability::TopologySnapshot LocalCluster::BuildSnapshot() const {
   snap.journal = observability::SummarizeJournal(
       CollectJournal(), journal_recorded, journal_dropped());
 
-  // Cooperative-scheduler profiler.
+  // Scheduler profiler.
   if (tasklet_pool_ != nullptr) {
     const TaskletPool::SchedulerStats stats =
         tasklet_pool_->CollectStats(clock_->NowNanos());

@@ -240,8 +240,8 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   /// Events lost to ring wraparound, summed across every ring.
   uint64_t journal_dropped() const;
 
-  /// The cooperative scheduler's slice ring; null outside cooperative
-  /// mode or when the journal is dark.
+  /// The scheduler's slice ring; null when the journal is dark. Step mode
+  /// has no pool, so its ring stays empty.
   observability::SliceRing* slice_ring() const { return slice_ring_.get(); }
 
   /// The unified timeline: tuple-path spans, flight-recorder events and
@@ -301,9 +301,10 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   /// The heartbeat monitor reactor (null when monitoring is disabled).
   std::unique_ptr<EventLoop> monitor_;
   bool step_mode_ = false;
-  /// Cooperative execution engine (heron.execution.mode=cooperative):
-  /// created at Submit, handed to every container it starts (including
-  /// restarts and repacks), stopped at Kill. Null in thread/step mode.
+  /// The driver of every module loop (per-loop placement in thread mode,
+  /// shared in cooperative mode): created at Submit, handed to every
+  /// container it starts (including restarts and repacks), stopped at
+  /// Kill. Null in step mode.
   std::unique_ptr<TaskletPool> tasklet_pool_;
 
   // Chaos schedule. The RNG and knobs are touched on the monitor tick
@@ -346,7 +347,7 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   /// Control-plane ring: liveness transitions, checkpoint lifecycle,
   /// scaling decisions, plan swaps, chaos kills. Created at Submit.
   std::unique_ptr<observability::EventJournal> control_journal_;
-  /// Cooperative-scheduler slice ring, handed to the TaskletPool. Outlives
+  /// Scheduler slice ring, handed to the TaskletPool. Outlives
   /// the pool so the timeline can be exported after Kill.
   std::unique_ptr<observability::SliceRing> slice_ring_;
   size_t journal_ring_capacity_ = 0;

@@ -53,25 +53,32 @@ class TaskletPool::Handle {
 
   Tasklet tasklet;
   const int32_t ord;  ///< Pool registration ordinal (slice-ring identity).
+  Worker* dedicated = nullptr;  ///< kPerLoop: the tasklet's own worker.
   std::mutex mu;
   std::atomic<bool> retired{false};
   bool finished = false;  ///< Loop reached Done(); guarded by mu.
 };
 
 /// One scheduling thread (or inline stepper): round-robin drives its
-/// member tasklets, idles per the pool policy.
+/// member tasklets, idles per the pool policy. A dedicated worker (kPerLoop)
+/// has exactly one member and parks on that loop's own latch.
 class TaskletPool::Worker {
  public:
   Worker(const Options* options, const Clock* clock, size_t index)
       : options_(options), clock_(clock), index_(index) {}
 
   void Add(std::shared_ptr<Handle> handle) {
-    handle->tasklet.loop()->wakeup()->Chain(&wakeup_);
+    ipc::Wakeup* member = handle->tasklet.loop()->wakeup();
+    if (options_->placement == Placement::kPerLoop) {
+      latch_ = member;
+    } else {
+      member->Chain(&wakeup_);
+    }
     {
       std::lock_guard<std::mutex> lock(list_mu_);
       members_.push_back(std::move(handle));
     }
-    wakeup_.Notify();
+    latch_->Notify();
   }
 
   void Start() {
@@ -80,7 +87,7 @@ class TaskletPool::Worker {
 
   void RequestStop() {
     stop_.store(true, std::memory_order_release);
-    wakeup_.Notify();
+    latch_->Notify();
   }
 
   void Join() {
@@ -131,8 +138,6 @@ class TaskletPool::Worker {
     return did_work;
   }
 
-  ipc::Wakeup* wakeup() { return &wakeup_; }
-
   /// Worker wall-time spent inside drive passes (profiling; 0 when off).
   int64_t busy_nanos() const {
     return busy_nanos_.load(std::memory_order_relaxed);
@@ -144,7 +149,7 @@ class TaskletPool::Worker {
 
  private:
   void Run() {
-    wakeup_.SetOwnerThread();
+    latch_->SetOwnerThread();
     const bool profile = options_->profile;
     started_nanos_.store(clock_->NowNanos(), std::memory_order_relaxed);
     int64_t spin_start = -1;  // -1 = not currently in an idle spin window.
@@ -190,6 +195,9 @@ class TaskletPool::Worker {
       Park();
       spin_start = -1;
     }
+    // A dedicated worker's latch outlives it: a later thread reusing this
+    // id must not inherit the same-thread notify elision.
+    latch_->ClearOwnerThread();
   }
 
   // Every member-loop access below (Poll, deadline reads) happens under
@@ -227,7 +235,7 @@ class TaskletPool::Worker {
     if (deadline != EventLoop::kNoDeadline) {
       park = std::min<int64_t>(park, deadline - now);
     }
-    if (park > 0) wakeup_.WaitFor(park);
+    if (park > 0) latch_->WaitFor(park);
   }
 
   const Options* options_;
@@ -235,6 +243,9 @@ class TaskletPool::Worker {
   size_t index_;
 
   ipc::Wakeup wakeup_;
+  /// What the worker parks on: its own latch, or a dedicated worker's
+  /// single member loop latch.
+  ipc::Wakeup* latch_ = &wakeup_;
   std::atomic<int64_t> busy_nanos_{0};
   std::atomic<int64_t> started_nanos_{-1};
   std::mutex list_mu_;
@@ -246,6 +257,7 @@ class TaskletPool::Worker {
 
 TaskletPool::TaskletPool(const Options& options, const Clock* clock)
     : options_(options), clock_(clock) {
+  if (options_.placement == Placement::kPerLoop) return;
   size_t n = options_.workers;
   if (n == 0) {
     n = std::max<size_t>(1, std::thread::hardware_concurrency());
@@ -258,15 +270,23 @@ TaskletPool::TaskletPool(const Options& options, const Clock* clock)
 TaskletPool::~TaskletPool() { Stop(); }
 
 TaskletPool::Handle* TaskletPool::Add(EventLoop* loop) {
-  std::shared_ptr<Handle> handle;
-  Handle* raw = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    handle = std::make_shared<Handle>(loop, options_.tasklet, clock_,
-                                      static_cast<int32_t>(names_.size()));
-    raw = handle.get();
-    names_.push_back(loop->name());
-    registry_.emplace(raw, handle);
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  const auto ord = static_cast<int32_t>(names_.size());
+  auto handle =
+      std::make_shared<Handle>(loop, options_.tasklet, clock_, ord);
+  Handle* raw = handle.get();
+  names_.push_back(loop->name());
+  registry_.emplace(raw, handle);
+  if (options_.placement == Placement::kPerLoop) {
+    // The worker takes the tasklet's ordinal as its index, so each
+    // tasklet gets its own timeline track.
+    auto worker = std::make_unique<Worker>(&options_, clock_,
+                                           static_cast<size_t>(ord));
+    handle->dedicated = worker.get();
+    worker->Add(std::move(handle));
+    if (started_) worker->Start();
+    workers_.push_back(std::move(worker));
+    return raw;
   }
   const size_t slot =
       next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
@@ -282,27 +302,41 @@ void TaskletPool::Retire(Handle* handle) {
   // A second Retire of the same pointer finds the registry empty and
   // returns without ever dereferencing (possibly freed) memory.
   std::shared_ptr<Handle> keep;
+  std::unique_ptr<Worker> dedicated;
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
     const auto it = registry_.find(handle);
     if (it == registry_.end()) return;
     keep = std::move(it->second);
     registry_.erase(it);
+    if (keep->dedicated != nullptr) {
+      const auto wit = std::find_if(
+          workers_.begin(), workers_.end(),
+          [&keep](const auto& w) { return w.get() == keep->dedicated; });
+      dedicated = std::move(*wit);
+      workers_.erase(wit);
+    }
   }
   if (keep->retired.exchange(true, std::memory_order_acq_rel)) return;
   // Fence: wait out any in-flight Drive(). After this, workers observe
   // `retired` under mu before touching the tasklet, so the loop is ours.
   { std::lock_guard<std::mutex> fence(keep->mu); }
+  if (dedicated != nullptr) {
+    dedicated->RequestStop();
+    dedicated->Join();
+  }
   keep->tasklet.loop()->wakeup()->Chain(nullptr);
 }
 
 void TaskletPool::Start() {
-  if (started_ || !options_.threaded) return;
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  if (started_ || options_.placement == Placement::kInline) return;
   started_ = true;
   for (auto& worker : workers_) worker->Start();
 }
 
 void TaskletPool::Stop() {
+  std::lock_guard<std::mutex> lock(registry_mu_);
   if (!started_) return;
   started_ = false;
   for (auto& worker : workers_) worker->RequestStop();
@@ -317,8 +351,14 @@ bool TaskletPool::DriveAll() {
   return did_work;
 }
 
+size_t TaskletPool::num_workers() const {
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  return workers_.size();
+}
+
 TaskletPool::SchedulerStats TaskletPool::CollectStats(int64_t now_nanos) const {
   SchedulerStats stats;
+  std::lock_guard<std::mutex> lock(registry_mu_);
   stats.workers = workers_.size();
   for (const auto& worker : workers_) {
     stats.busy_nanos += worker->busy_nanos();
@@ -327,7 +367,6 @@ TaskletPool::SchedulerStats TaskletPool::CollectStats(int64_t now_nanos) const {
       stats.wall_nanos += now_nanos - started;
     }
   }
-  std::lock_guard<std::mutex> lock(registry_mu_);
   for (const auto& [raw, handle] : registry_) {
     // The drive mutex is the established fence: holding it briefly means
     // no Drive() is mutating the tasklet's counters while we read them.

@@ -68,7 +68,7 @@ struct TaskletOptions {
   size_t max_steps_per_slice = 64;
 };
 
-/// \brief One cooperatively-scheduled module loop: an EventLoop driven in
+/// \brief One pool-driven module loop: an EventLoop driven in
 /// bounded slices from a pool worker instead of Run() on an owned thread.
 ///
 /// Drive() = one slice: repeated RunOnce() steps until the slice's wall
@@ -184,42 +184,57 @@ class Tasklet {
   uint64_t overruns_ = 0;
 };
 
-/// \brief Thread-per-core cooperative scheduler: N workers, each driving
-/// many tasklets round-robin, parking per the configured IdlePolicy.
+/// Who drives the tasklets of a TaskletPool.
 ///
-/// This is `heron.execution.mode=cooperative`'s engine. Instead of one OS
-/// thread per instance (tail latency at the mercy of the kernel scheduler
-/// once instances outnumber cores), every module EventLoop becomes a
-/// tasklet on one of a fixed set of workers — the Hazelcast-Jet execution
-/// model grafted onto the paper's §II reactor kernel.
+///   kPerLoop  Add() starts one dedicated worker thread for that tasklet
+///             and Retire() stops and joins it — thread-per-instance
+///             (`heron.execution.mode=thread`).
+///   kShared   a fixed set of workers, each driving many tasklets round-
+///             robin (`heron.execution.mode=cooperative`).
+///   kInline   no threads: DriveAll() steps every tasklet from the caller
+///             (deterministic tests).
+enum class Placement {
+  kPerLoop,
+  kShared,
+  kInline,
+};
+
+/// \brief The one driver of every module loop: each EventLoop (instance,
+/// SMGR, container housekeeping) is a tasklet, driven in slices by a pool
+/// worker, and the Placement decides how tasklets map to threads.
+///
+/// Modules never drive themselves. A Container prepares a module, hands
+/// its loop to Add(), and on teardown calls Retire() before the module's
+/// own Stop()/Kill(), which then finishes on the caller's thread. With
+/// kShared, instances outnumbering cores no longer put tail latency at the
+/// mercy of the kernel scheduler — the Hazelcast-Jet execution model
+/// grafted onto the paper's §II reactor kernel; kPerLoop is the paper's
+/// own one-thread-per-instance layout, driven by the same code.
 ///
 /// ## Wakeup protocol (lost-wakeup-free parking)
-/// Add() chains the member loop's Wakeup to its worker's Wakeup: producers
+/// A shared worker chains each member loop's Wakeup to its own: producers
 /// notify the member latch, which forwards one coalesced notify to the
 /// worker. Because member latches coalesce (a second notify while pending
 /// forwards nothing), a worker must Poll() every member latch immediately
 /// before parking — any pending latch means undrained work, so it re-drives
 /// instead of parking, and the cleared latch re-arms forwarding. A notify
 /// landing between the Poll and the park still reaches the worker's own
-/// latch, which WaitFor() consumes.
+/// latch, which WaitFor() consumes. A dedicated (kPerLoop) worker parks on
+/// its one loop's latch directly, as EventLoop::Run() does.
 ///
 /// ## Retire fence
 /// Retire() is synchronous: it marks the handle retired, then acquires the
 /// per-handle drive mutex, guaranteeing any in-flight Drive() finished and
-/// no later one starts. After Retire() returns, the caller owns the loop
-/// again (e.g. to drain it on its own thread during graceful Stop).
-///
-/// ## Inline mode
-/// `Options::threaded=false` spawns no threads; DriveAll() steps every
-/// worker's tasklets once, in registration order, from the caller — the
-/// deterministic two-universe harness for cooperative mode.
+/// no later one starts (a dedicated worker is also joined). After Retire()
+/// returns, the caller owns the loop again (e.g. to drain it on its own
+/// thread during graceful Stop).
 class TaskletPool {
  public:
   struct Options {
-    /// Worker count; 0 = one per hardware core.
+    /// Shared worker count; 0 = one per hardware core. kPerLoop ignores
+    /// it (one worker per tasklet).
     size_t workers = 0;
-    /// False = inline stepping via DriveAll() (deterministic tests).
-    bool threaded = true;
+    Placement placement = Placement::kShared;
     IdlePolicy idle_policy = IdlePolicy::kCondvarPark;
     /// Adaptive-spin window before falling back to a park.
     int64_t spin_window_nanos = 50000;  // 50 us.
@@ -245,8 +260,9 @@ class TaskletPool {
   TaskletPool(const TaskletPool&) = delete;
   TaskletPool& operator=(const TaskletPool&) = delete;
 
-  /// Registers `loop` as a tasklet, round-robin across workers, and chains
-  /// its wakeup. The loop must be fully registered (channels, timers, idle
+  /// Registers `loop` as a tasklet: on a dedicated worker (kPerLoop,
+  /// started at once if the pool is), else round-robin across the shared
+  /// workers. The loop must be fully registered (channels, timers, idle
   /// workers) before Add — the pool worker becomes its driving thread.
   /// Returns a handle for Retire(); owned by the pool.
   Handle* Add(EventLoop* loop);
@@ -255,18 +271,19 @@ class TaskletPool {
   /// Idempotent; null is a no-op. Does not stop or drain the loop itself.
   void Retire(Handle* handle);
 
+  /// Starts the worker threads (a no-op for kInline).
   void Start();
   /// Stops and joins every worker. Member loops are left as-is.
   void Stop();
 
-  /// Inline mode: one Drive pass over every tasklet; true when any
-  /// progressed. Threaded pools must not call this.
+  /// kInline: one Drive pass over every tasklet; true when any progressed.
+  /// Pools with worker threads must not call this.
   bool DriveAll();
 
   /// \brief Aggregated scheduler profile: what the pool's tasklets and
   /// workers have been doing since Start(). Tasklet counters cover the
-  /// *live* (un-retired) handles; worker busy/wall cover every threaded
-  /// worker since its Run() began.
+  /// *live* (un-retired) handles; worker busy/wall cover every live
+  /// worker thread since its Run() began.
   struct SchedulerStats {
     size_t workers = 0;
     uint64_t tasklets = 0;     ///< Live handles.
@@ -295,7 +312,8 @@ class TaskletPool {
   /// retirement so old slices stay resolvable.
   std::vector<std::string> TaskletNames() const;
 
-  size_t num_workers() const { return workers_.size(); }
+  /// Shared workers, or the live dedicated ones (kPerLoop).
+  size_t num_workers() const;
   const Options& options() const { return options_; }
 
  private:
@@ -303,13 +321,15 @@ class TaskletPool {
 
   Options options_;
   const Clock* clock_;
+  /// The fixed worker set (kShared, kInline), or one worker per live
+  /// tasklet (kPerLoop: changes only under registry_mu_).
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<size_t> next_worker_{0};
-  bool started_ = false;
   /// Keeps every un-retired handle alive independent of the workers'
   /// member lists, so Retire() can safely dereference the raw pointer it
   /// was given (and detect an already-retired one without touching it).
   mutable std::mutex registry_mu_;
+  bool started_ = false;  ///< Guarded by registry_mu_.
   std::unordered_map<Handle*, std::shared_ptr<Handle>> registry_;
   /// Registration-ordered loop names; index = SchedSlice ordinal.
   /// Guarded by registry_mu_; grows only.

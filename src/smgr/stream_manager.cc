@@ -142,7 +142,10 @@ void StreamManager::WireLoop() {
   });
 }
 
-Status StreamManager::Register() {
+Status StreamManager::Prepare() {
+  if (running_.exchange(true)) {
+    return Status::FailedPrecondition("stream manager already running");
+  }
   HERON_RETURN_NOT_OK(
       transport_->RegisterSmgr(options_.container, &inbound_));
   registered_ = true;
@@ -156,50 +159,18 @@ Status StreamManager::Register() {
   return Status::OK();
 }
 
-Status StreamManager::Start() {
-  if (running_.exchange(true)) {
-    return Status::FailedPrecondition("stream manager already running");
-  }
-  HERON_RETURN_NOT_OK(Register());
-  loop_.Start();
-  return Status::OK();
-}
-
-Status StreamManager::StartStepMode() {
-  if (running_.exchange(true)) {
-    return Status::FailedPrecondition("stream manager already running");
-  }
-  return Register();
-}
-
-Status StreamManager::StartCooperative(runtime::TaskletPool* pool) {
-  if (running_.exchange(true)) {
-    return Status::FailedPrecondition("stream manager already running");
-  }
-  HERON_RETURN_NOT_OK(Register());
-  pool_ = pool;
-  pool_handle_ = pool->Add(&loop_);
-  return Status::OK();
-}
-
 void StreamManager::Stop() {
   if (registered_) {
     transport_->UnregisterSmgr(options_.container).ok();
     registered_ = false;
   }
-  running_.store(false);
-  // Closing the inbound lets the reactor drain every remaining envelope
-  // and exit; Stop() is deliberately not called first, so nothing is
-  // stranded. Shutdown() is a no-op when the loop thread already ran it.
+  // The driver has retired the loop: closing the inbound lets it drain
+  // every remaining envelope here, exactly the iterations Run() would have
+  // done before exiting, so nothing is stranded.
   inbound_.Close();
-  if (pool_handle_ != nullptr) {
-    // Cooperative: fence the pool worker off the loop, then finish the
-    // drain on this thread — the same iterations Run() would have done.
-    pool_->Retire(pool_handle_);
-    pool_handle_ = nullptr;
+  if (running_.exchange(false)) {
     while (!loop_.stopped() && !loop_.sources_done()) loop_.RunOnce();
   }
-  loop_.Join();
   loop_.Shutdown();
   // Post-loop teardown bookkeeping: drop the throttle refs held by remote
   // initiators (their kStop can never arrive now) and zero the gauges so a
@@ -228,12 +199,7 @@ void StreamManager::Kill() {
   // tuple cache or retry queue dies with the "process" — exactly the loss
   // the ack-timeout replay must repair.
   loop_.Halt();
-  if (pool_handle_ != nullptr) {
-    pool_->Retire(pool_handle_);
-    pool_handle_ = nullptr;
-  }
   inbound_.Close();
-  loop_.Join();
 }
 
 void StreamManager::ProcessEnvelope(proto::Envelope env) {

@@ -16,7 +16,6 @@
 #include "observability/trace.h"
 #include "proto/physical_plan.h"
 #include "runtime/event_loop.h"
-#include "runtime/tasklet.h"
 #include "smgr/ack_tracker.h"
 #include "smgr/transport.h"
 #include "smgr/tuple_cache.h"
@@ -44,12 +43,14 @@ namespace smgr {
 ///
 /// Threading: the SMGR owns no loop body of its own — it registers its
 /// inbound channel, cache-drain timer and ack/retry services on a shared
-/// runtime::EventLoop (the §II kernel). Start() runs that loop on a
-/// thread; StartStepMode() arms it for deterministic single-stepping via
-/// loop()->RunOnce() with a SimClock (no threads). The loop never blocks
-/// on a send — undeliverable envelopes park in a retry queue, in strict
-/// per-channel FIFO (a new envelope never overtakes a parked predecessor
-/// on the same channel).
+/// runtime::EventLoop (the §II kernel), and never drives that loop
+/// itself. Prepare() registers with the transport; the owner then places
+/// loop() on a runtime::TaskletPool (thread and cooperative modes) or
+/// single-steps it via RunOnce() with a SimClock (step mode). Stop() and
+/// Kill() expect the loop retired from its driver first. The loop never
+/// blocks on a send — undeliverable envelopes park in a retry queue, in
+/// strict per-channel FIFO (a new envelope never overtakes a parked
+/// predecessor on the same channel).
 ///
 /// ## Cluster-wide spout back pressure
 /// Heron's spout back-pressure protocol, rendered as a control-plane
@@ -107,21 +108,18 @@ class StreamManager {
   StreamManager(const StreamManager&) = delete;
   StreamManager& operator=(const StreamManager&) = delete;
 
-  /// Registers the inbound channel with the transport and spawns the loop.
-  Status Start();
-  /// Step-mode Start: registers with the transport and arms the reactor,
-  /// but spawns no thread — the caller drives loop()->RunOnce().
-  Status StartStepMode();
-  /// Cooperative Start: registers, then hands the reactor to `pool` as a
-  /// tasklet instead of spawning a thread. The SMGR loop already never
-  /// blocks (TrySend-or-park routing), so no delivery-mode change needed.
-  Status StartCooperative(runtime::TaskletPool* pool);
-  /// Drains, deregisters and joins. Idempotent.
+  /// Registers the inbound channel with the transport and arms the cache
+  /// timer. Drive loop() afterwards.
+  Status Prepare();
+  /// Graceful stop, after the loop is retired from its driver: deregisters,
+  /// then drains every remaining envelope and runs the shutdown drain on
+  /// the caller's thread. Idempotent.
   void Stop();
-  /// Hard-kill (fault injection): deregisters, halts the reactor without
-  /// the shutdown drain — cached batches and parked envelopes are lost, as
-  /// they would be when the container process dies. At-least-once recovery
-  /// of the lost tuples is the ack-timeout's job, not this SMGR's.
+  /// Hard-kill (fault injection), after the loop is retired from its
+  /// driver: deregisters, halts the reactor without the shutdown drain —
+  /// cached batches and parked envelopes are lost, as they would be when
+  /// the container process dies. At-least-once recovery of the lost tuples
+  /// is the ack-timeout's job, not this SMGR's.
   void Kill();
 
   /// The reactor this SMGR runs on (step-mode tests drive RunOnce on it).
@@ -178,8 +176,6 @@ class StreamManager {
 
   /// Registers handlers/timers/services on the reactor (ctor-time wiring).
   void WireLoop();
-  /// Shared Start/StartStepMode body: transport registration + timer arm.
-  Status Register();
 
   /// Routes every tuple of an unrouted batch from a local instance.
   /// `env_trace_id` is the envelope's trace hint: non-zero means at least
@@ -303,10 +299,6 @@ class StreamManager {
   runtime::EventLoop loop_;
   std::atomic<bool> running_{false};
   bool registered_ = false;
-
-  // Cooperative mode: the pool driving loop_ (null in thread/step mode).
-  runtime::TaskletPool* pool_ = nullptr;
-  runtime::TaskletPool::Handle* pool_handle_ = nullptr;
 
   // Hot-path metric handles.
   metrics::Counter* tuples_routed_;

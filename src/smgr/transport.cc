@@ -168,11 +168,15 @@ Status Transport::SendOnRouteLocked(const Route& route,
     // already counted the frame delivered. Refusing here mirrors the
     // in-process channel's synchronous kResourceExhausted/kCancelled
     // exactly, which is what keeps park/retry (and therefore the whole
-    // backpressure protocol) byte-identical across transport modes.
+    // backpressure protocol) byte-identical across transport modes. Frames
+    // still on the link count against the window: otherwise a sender that
+    // sees room between two pumps pushes its whole parked backlog onto the
+    // wire, where the backpressure watermarks cannot see it.
     if (route.channel->closed()) {
       return Status::Cancelled("channel closed");
     }
-    if (route.channel->size() >= route.channel->capacity()) {
+    if (route.channel->size() + fabric_->InFlight(route.link_key) >=
+        route.channel->capacity()) {
       return Status::ResourceExhausted("destination window full");
     }
   }

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "common/logging.h"
 #include "packing/round_robin_packing.h"
+#include "runtime/tasklet.h"
 #include "workloads/word_count.h"
 
 namespace heron {
@@ -37,6 +40,25 @@ class InstanceTest : public ::testing::Test {
     transport_ = std::make_unique<smgr::Transport>(true);
     smgr_inbound_ = std::make_unique<smgr::EnvelopeChannel>(1 << 14);
     ASSERT_TRUE(transport_->RegisterSmgr(0, smgr_inbound_.get()).ok());
+    runtime::TaskletPool::Options pool_options;
+    pool_options.placement = runtime::Placement::kPerLoop;
+    pool_ = std::make_unique<runtime::TaskletPool>(pool_options,
+                                                   RealClock::Get());
+    pool_->Start();
+  }
+
+  /// Prepares `instance` and hands its loop to a dedicated pool worker, as
+  /// a thread-mode Container does.
+  runtime::TaskletPool::Handle* Launch(HeronInstance* instance) {
+    EXPECT_TRUE(instance->Prepare().ok());
+    return pool_->Add(instance->loop());
+  }
+
+  /// Retires the instance's loop from its worker, then stops it.
+  void StopLaunched(HeronInstance* instance,
+                    runtime::TaskletPool::Handle* handle) {
+    pool_->Retire(handle);
+    instance->Stop();
   }
 
   /// Waits until `predicate` or the deadline.
@@ -51,6 +73,7 @@ class InstanceTest : public ::testing::Test {
   std::shared_ptr<const proto::PhysicalPlan> physical_;
   std::unique_ptr<smgr::Transport> transport_;
   std::unique_ptr<smgr::EnvelopeChannel> smgr_inbound_;
+  std::unique_ptr<runtime::TaskletPool> pool_;
 };
 
 TEST_F(InstanceTest, SpoutEmitsSerializedBatchesToLocalSmgr) {
@@ -58,9 +81,9 @@ TEST_F(InstanceTest, SpoutEmitsSerializedBatchesToLocalSmgr) {
   options.task = 0;  // The spout.
   HeronInstance spout(options, physical_, transport_.get(),
                       RealClock::Get(), nullptr);
-  ASSERT_TRUE(spout.Start().ok());
+  runtime::TaskletPool::Handle* handle = Launch(&spout);
   WaitFor([&] { return smgr_inbound_->size() >= 3; }, 10000);
-  spout.Stop();
+  StopLaunched(&spout, handle);
 
   auto env = smgr_inbound_->TryRecv();
   ASSERT_TRUE(env.has_value());
@@ -85,7 +108,7 @@ TEST_F(InstanceTest, AckedSpoutStopsAtMaxPendingAndResumesOnRootEvents) {
   options.config.SetBool(config_keys::kAckingEnabled, true);
   HeronInstance spout(options, physical_, transport_.get(),
                       RealClock::Get(), nullptr);
-  ASSERT_TRUE(spout.Start().ok());
+  runtime::TaskletPool::Handle* handle = Launch(&spout);
 
   // With nobody acking, emission halts at the cap.
   WaitFor([&] { return spout.pending_count() >= 100; }, 10000);
@@ -118,7 +141,7 @@ TEST_F(InstanceTest, AckedSpoutStopsAtMaxPendingAndResumesOnRootEvents) {
   // The freed slots refill: new emissions arrive.
   WaitFor([&] { return smgr_inbound_->size() > 0; }, 10000);
   EXPECT_GT(smgr_inbound_->size(), 0u);
-  spout.Stop();
+  StopLaunched(&spout, handle);
   EXPECT_EQ(spout.metrics()->GetCounter("instance.acked")->value(), 45u);
   EXPECT_EQ(spout.metrics()->GetCounter("instance.failed")->value(), 5u);
   EXPECT_GT(
@@ -134,7 +157,7 @@ TEST_F(InstanceTest, RootEventBatchAppliesAcksFailsAndStaleRootsInOrder) {
   options.config.SetBool(config_keys::kAckingEnabled, true);
   HeronInstance spout(options, physical_, transport_.get(),
                       RealClock::Get(), nullptr);
-  ASSERT_TRUE(spout.StartStepMode().ok());
+  ASSERT_TRUE(spout.Prepare().ok());
   for (int i = 0; i < 1000 && spout.pending_count() < 40; ++i) {
     spout.loop()->RunOnce();
   }
@@ -209,7 +232,7 @@ TEST_F(InstanceTest, BoltExecutesRoutedBatchesAndAcksUpstream) {
   options.config.SetBool(config_keys::kAckingEnabled, true);
   HeronInstance bolt(options, physical_, transport_.get(),
                      RealClock::Get(), nullptr);
-  ASSERT_TRUE(bolt.Start().ok());
+  runtime::TaskletPool::Handle* handle = Launch(&bolt);
 
   // Hand it a routed batch of three tracked words.
   proto::TupleBatchMsg batch;
@@ -234,7 +257,7 @@ TEST_F(InstanceTest, BoltExecutesRoutedBatchesAndAcksUpstream) {
                   .ok());
 
   WaitFor([&] { return smgr_inbound_->size() > 0; }, 10000);
-  bolt.Stop();
+  StopLaunched(&bolt, handle);
   EXPECT_EQ(bolt.metrics()->GetCounter("instance.executed")->value(), 3u);
 
   // The CountBolt acks every input: one ack update per root must have
@@ -258,7 +281,7 @@ TEST_F(InstanceTest, StartRejectsUnknownTask) {
   options.task = 42;
   HeronInstance ghost(options, physical_, transport_.get(),
                       RealClock::Get(), nullptr);
-  EXPECT_TRUE(ghost.Start().IsNotFound());
+  EXPECT_TRUE(ghost.Prepare().IsNotFound());
 }
 
 TEST_F(InstanceTest, StopIsIdempotentAndUnregisters) {
@@ -266,11 +289,166 @@ TEST_F(InstanceTest, StopIsIdempotentAndUnregisters) {
   options.task = 0;
   HeronInstance spout(options, physical_, transport_.get(),
                       RealClock::Get(), nullptr);
-  ASSERT_TRUE(spout.Start().ok());
+  runtime::TaskletPool::Handle* handle = Launch(&spout);
   EXPECT_NE(transport_->InstanceChannel(0), nullptr);
-  spout.Stop();
+  StopLaunched(&spout, handle);
   spout.Stop();
   EXPECT_EQ(transport_->InstanceChannel(0), nullptr);
+}
+
+/// A routed batch of one tracked word for the count bolt (task 1).
+proto::Envelope OneWordBatch(uint64_t seq) {
+  proto::TupleBatchMsg batch;
+  batch.src_task = 0;
+  batch.dest_task = 1;
+  batch.src_component = "word";
+  proto::TupleDataMsg msg;
+  msg.tuple_key = proto::MakeRootKey(0, 100 + seq);
+  msg.roots.push_back(msg.tuple_key);
+  msg.values.emplace_back(std::string("hello"));
+  batch.tuples.push_back(msg.SerializeAsBuffer());
+  return proto::Envelope(proto::MessageType::kTupleBatchRouted,
+                         batch.SerializeAsBuffer());
+}
+
+// Step mode, exact counts: output that cannot reach a full SMGR channel
+// parks in the outbox, and while it is parked the instance takes no new
+// input. Draining the SMGR reopens the gate, one envelope at a time.
+TEST_F(InstanceTest, ParkedOutputGatesInboundUntilSmgrDrains) {
+  smgr::EnvelopeChannel smgr_channel(1);
+  ASSERT_TRUE(transport_->UnregisterSmgr(0).ok());
+  ASSERT_TRUE(transport_->RegisterSmgr(0, &smgr_channel).ok());
+  ASSERT_TRUE(smgr_channel
+                  .TrySend(proto::Envelope(proto::MessageType::kControl,
+                                           serde::Buffer()))
+                  .ok());  // Full: the bolt's first ack batch must park.
+
+  HeronInstance::Options options;
+  options.task = 1;
+  options.acking = true;
+  options.config.SetBool(config_keys::kAckingEnabled, true);
+  HeronInstance bolt(options, physical_, transport_.get(), RealClock::Get(),
+                     nullptr);
+  ASSERT_TRUE(bolt.Prepare().ok());
+  for (uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(bolt.inbound()->TrySend(OneWordBatch(i)).ok());
+  }
+  const auto executed = [&] {
+    return bolt.metrics()->GetCounter("instance.executed")->value();
+  };
+
+  // The first batch executes; its ack batch parks and shuts the gate.
+  bolt.loop()->RunOnce();
+  EXPECT_EQ(executed(), 1u);
+  EXPECT_EQ(bolt.inbound()->size(), 2u);
+  for (int i = 0; i < 5; ++i) bolt.loop()->RunOnce();
+  EXPECT_EQ(executed(), 1u);
+  EXPECT_EQ(bolt.inbound()->size(), 2u);
+
+  // The SMGR drains: the backlog retry ships the parked ack batch (the gate
+  // is checked before the retry, so no input yet) ...
+  ASSERT_EQ(smgr_channel.TryRecv()->type, proto::MessageType::kControl);
+  bolt.loop()->RunOnce();
+  EXPECT_EQ(executed(), 1u);
+  EXPECT_EQ(smgr_channel.size(), 1u);
+  // ... and the next iteration takes exactly one batch, whose ack parks.
+  bolt.loop()->RunOnce();
+  EXPECT_EQ(executed(), 2u);
+  EXPECT_EQ(bolt.inbound()->size(), 1u);
+
+  // Keep draining: every batch executes, every ack batch arrives in order.
+  int acks = 0;
+  for (int i = 0; i < 20 && acks < 3; ++i) {
+    if (auto env = smgr_channel.TryRecv()) {
+      ASSERT_EQ(env->type, proto::MessageType::kAckBatch);
+      ++acks;
+    }
+    bolt.loop()->RunOnce();
+  }
+  EXPECT_EQ(acks, 3);
+  EXPECT_EQ(executed(), 3u);
+  EXPECT_EQ(bolt.inbound()->size(), 0u);
+  bolt.Stop();
+  ASSERT_TRUE(transport_->UnregisterSmgr(0).ok());
+}
+
+// Graceful Stop and hard Kill with parked output, under every placement a
+// pool offers. A spout emitting one-tuple batches into a 4-slot SMGR
+// channel nobody drains parks its fifth batch and then emits nothing more
+// (the input gate's spout half). Stop() must ship the parked batch once
+// the SMGR drains again; Kill() must return at once and ship nothing.
+TEST_F(InstanceTest, StopShipsParkedOutputAndKillDropsItUnderEveryPlacement) {
+  constexpr size_t kSmgrSlots = 4;
+  for (const runtime::Placement placement :
+       {runtime::Placement::kPerLoop, runtime::Placement::kShared,
+        runtime::Placement::kInline}) {
+    for (const bool graceful : {true, false}) {
+      SCOPED_TRACE(std::string(graceful ? "Stop" : "Kill") + " placement " +
+                   std::to_string(static_cast<int>(placement)));
+      smgr::EnvelopeChannel smgr_channel(kSmgrSlots);
+      ASSERT_TRUE(transport_->UnregisterSmgr(0).ok());
+      ASSERT_TRUE(transport_->RegisterSmgr(0, &smgr_channel).ok());
+      runtime::TaskletPool::Options pool_options;
+      pool_options.workers = 1;
+      pool_options.placement = placement;
+      runtime::TaskletPool pool(pool_options, RealClock::Get());
+      pool.Start();
+
+      HeronInstance::Options options;
+      options.task = 0;
+      options.emit_batch_tuples = 1;
+      HeronInstance spout(options, physical_, transport_.get(),
+                          RealClock::Get(), nullptr);
+      ASSERT_TRUE(spout.Prepare().ok());
+      runtime::TaskletPool::Handle* handle = pool.Add(spout.loop());
+      const auto emitted = [&] {
+        return spout.metrics()->GetCounter("instance.emitted")->value();
+      };
+      WaitFor(
+          [&] {
+            if (placement == runtime::Placement::kInline) pool.DriveAll();
+            return emitted() > kSmgrSlots;
+          },
+          10000);
+      ASSERT_EQ(smgr_channel.size(), kSmgrSlots);
+      // One batch parked, and the spout stays paused behind it.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      if (placement == runtime::Placement::kInline) {
+        for (int i = 0; i < 50; ++i) pool.DriveAll();
+      }
+      ASSERT_EQ(emitted(), kSmgrSlots + 1);
+
+      pool.Retire(handle);
+      if (graceful) {
+        std::atomic<bool> stopped{false};
+        size_t received = 0;
+        std::thread smgr([&] {
+          while (!stopped.load() || smgr_channel.size() > 0) {
+            if (smgr_channel.TryRecv().has_value()) {
+              ++received;
+            } else {
+              std::this_thread::yield();
+            }
+          }
+        });
+        spout.Stop();
+        stopped.store(true);
+        smgr.join();
+        EXPECT_EQ(received, emitted());
+      } else {
+        const auto start = std::chrono::steady_clock::now();
+        spout.Kill();
+        EXPECT_LT(std::chrono::steady_clock::now() - start,
+                  std::chrono::milliseconds(100));
+        EXPECT_EQ(smgr_channel.size(), kSmgrSlots);
+        spout.Stop();  // Idempotent after Kill: ships nothing.
+        EXPECT_EQ(smgr_channel.size(), kSmgrSlots);
+      }
+      pool.Stop();
+      ASSERT_TRUE(transport_->UnregisterSmgr(0).ok());
+      ASSERT_TRUE(transport_->RegisterSmgr(0, smgr_inbound_.get()).ok());
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/clock.h"
 #include "common/logging.h"
 #include "workloads/word_count.h"
 
@@ -149,6 +150,90 @@ TEST_F(LocalClusterTest, KillStopsEverything) {
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(cluster.Submit(*again).ok());
   EXPECT_TRUE(cluster.Kill().ok());
+}
+
+/// Final counters of one finite acking WordCount run.
+struct FinalCounts {
+  uint64_t emitted = 0;
+  uint64_t executed = 0;
+  uint64_t acked = 0;
+  uint64_t failed = 0;
+  int64_t pending = 0;
+  bool operator==(const FinalCounts& o) const {
+    return emitted == o.emitted && executed == o.executed &&
+           acked == o.acked && failed == o.failed && pending == o.pending;
+  }
+};
+
+/// Runs a finite acking WordCount to quiescence in `mode` ("thread",
+/// "cooperative" or "step") and returns its final counters.
+FinalCounts RunFiniteWordCount(const std::string& mode,
+                               uint64_t emit_limit) {
+  Config config;
+  config.SetInt(config_keys::kNumContainersHint, 2);
+  config.SetBool(config_keys::kAckingEnabled, true);
+  config.SetInt(config_keys::kMaxSpoutPending, 64);
+  config.SetInt(config_keys::kInstanceEmitBatchTuples, 8);
+  const bool step = mode == "step";
+  SimClock sim_clock(0);
+  if (step) {
+    config.SetBool(config_keys::kClusterStepMode, true);
+  } else {
+    config.Set(config_keys::kExecutionMode, mode);
+  }
+  LocalCluster cluster(config, step ? &sim_clock : nullptr);
+  workloads::WordSpout::Options spout_options;
+  spout_options.dictionary_size = 200;
+  spout_options.words_per_call = 4;
+  spout_options.emit_limit = emit_limit;
+  auto topology = workloads::BuildWordCountTopology("wc-modes-" + mode, 2, 3,
+                                                    spout_options);
+  EXPECT_TRUE(topology.ok());
+  EXPECT_TRUE(cluster.Submit(*topology).ok());
+  const uint64_t total = 2 * emit_limit;
+  if (step) {
+    for (int round = 0;
+         round < 20000 && cluster.SumCounter("instance.acked") < total;
+         ++round) {
+      cluster.StepAll();
+      sim_clock.AdvanceMillis(5);
+    }
+  } else {
+    EXPECT_TRUE(cluster.WaitForCounter("instance.acked", total, 60000).ok())
+        << mode;
+  }
+  FinalCounts counts;
+  counts.emitted = cluster.SumCounter("instance.emitted");
+  counts.executed = cluster.SumCounter("instance.executed");
+  counts.acked = cluster.SumCounter("instance.acked");
+  counts.failed = cluster.SumCounter("instance.failed");
+  for (ContainerId id = 0; id < 2; ++id) {
+    Container* container = cluster.GetContainer(id);
+    if (container == nullptr) continue;
+    for (const auto& instance : container->instances()) {
+      counts.pending += instance->pending_count();
+    }
+  }
+  EXPECT_TRUE(cluster.Kill().ok()) << mode;
+  return counts;
+}
+
+// One driver for every mode: thread-per-instance (per-loop pool workers),
+// cooperative (shared workers) and step mode (no pool, StepAll) must all
+// carry the same finite stream to the same final counts.
+TEST_F(LocalClusterTest, ExecutionModesAgreeOnFinalCounts) {
+  constexpr uint64_t kEmitLimit = 1500;
+  const FinalCounts thread = RunFiniteWordCount("thread", kEmitLimit);
+  const FinalCounts cooperative =
+      RunFiniteWordCount("cooperative", kEmitLimit);
+  const FinalCounts step = RunFiniteWordCount("step", kEmitLimit);
+  EXPECT_EQ(thread.emitted, 2 * kEmitLimit);
+  EXPECT_EQ(thread.executed, 2 * kEmitLimit);
+  EXPECT_EQ(thread.acked, 2 * kEmitLimit);
+  EXPECT_EQ(thread.failed, 0u);
+  EXPECT_EQ(thread.pending, 0);
+  EXPECT_TRUE(thread == cooperative);
+  EXPECT_TRUE(thread == step);
 }
 
 }  // namespace

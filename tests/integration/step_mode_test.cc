@@ -62,7 +62,7 @@ TEST_F(StepModeTest, FullCycleDeterministic) {
     smgr_options.acking = true;
     smgr_options.cache_drain_frequency_ms = 10;
     smgr::StreamManager smgr(smgr_options, physical_, &transport, &clock);
-    EXPECT_TRUE(smgr.StartStepMode().ok());
+    EXPECT_TRUE(smgr.Prepare().ok());
 
     instance::HeronInstance::Options spout_options;
     spout_options.task = 0;
@@ -71,7 +71,7 @@ TEST_F(StepModeTest, FullCycleDeterministic) {
     spout_options.max_spout_pending = 8;
     instance::HeronInstance spout(spout_options, physical_, &transport,
                                   &clock, &smgr);
-    EXPECT_TRUE(spout.StartStepMode().ok());
+    EXPECT_TRUE(spout.Prepare().ok());
 
     instance::HeronInstance::Options bolt_options;
     bolt_options.task = 1;
@@ -79,7 +79,7 @@ TEST_F(StepModeTest, FullCycleDeterministic) {
     bolt_options.acking = true;
     instance::HeronInstance bolt(bolt_options, physical_, &transport, &clock,
                                  &smgr);
-    EXPECT_TRUE(bolt.StartStepMode().ok());
+    EXPECT_TRUE(bolt.Prepare().ok());
 
     std::vector<uint64_t> trace;
     for (int round = 0; round < rounds; ++round) {
@@ -135,7 +135,7 @@ TEST_F(StepModeTest, MaxSpoutPendingThrottlesInStepMode) {
   smgr_options.container = 0;
   smgr_options.acking = true;
   smgr::StreamManager smgr(smgr_options, physical_, &transport, &clock);
-  ASSERT_TRUE(smgr.StartStepMode().ok());
+  ASSERT_TRUE(smgr.Prepare().ok());
 
   instance::HeronInstance::Options spout_options;
   spout_options.task = 0;
@@ -144,7 +144,7 @@ TEST_F(StepModeTest, MaxSpoutPendingThrottlesInStepMode) {
   spout_options.max_spout_pending = 3;  // §V-B flow control.
   instance::HeronInstance spout(spout_options, physical_, &transport, &clock,
                                 &smgr);
-  ASSERT_TRUE(spout.StartStepMode().ok());
+  ASSERT_TRUE(spout.Prepare().ok());
 
   // With no acks flowing back, emission stalls at the pending cap.
   for (int i = 0; i < 20; ++i) spout.loop()->RunOnce();
@@ -156,7 +156,7 @@ TEST_F(StepModeTest, MaxSpoutPendingThrottlesInStepMode) {
 }
 
 // Cooperative mode's two-universe harness: the same modules ride an
-// inline (threaded=false) TaskletPool, driven by DriveAll() against a
+// inline (Placement::kInline) TaskletPool, driven by DriveAll() against a
 // SimClock. Replays must be byte-identical — cooperative scheduling adds
 // slice budgets and round-robin passes, but no nondeterminism.
 TEST_F(StepModeTest, CooperativeInlinePoolDeterministic) {
@@ -166,7 +166,7 @@ TEST_F(StepModeTest, CooperativeInlinePoolDeterministic) {
 
     runtime::TaskletPool::Options pool_options;
     pool_options.workers = 1;
-    pool_options.threaded = false;
+    pool_options.placement = runtime::Placement::kInline;
     runtime::TaskletPool pool(pool_options, &clock);
 
     smgr::StreamManager::Options smgr_options;
@@ -174,7 +174,8 @@ TEST_F(StepModeTest, CooperativeInlinePoolDeterministic) {
     smgr_options.acking = true;
     smgr_options.cache_drain_frequency_ms = 10;
     smgr::StreamManager smgr(smgr_options, physical_, &transport, &clock);
-    EXPECT_TRUE(smgr.StartCooperative(&pool).ok());
+    EXPECT_TRUE(smgr.Prepare().ok());
+    runtime::TaskletPool::Handle* smgr_handle = pool.Add(smgr.loop());
 
     instance::HeronInstance::Options spout_options;
     spout_options.task = 0;
@@ -183,7 +184,8 @@ TEST_F(StepModeTest, CooperativeInlinePoolDeterministic) {
     spout_options.max_spout_pending = 8;
     instance::HeronInstance spout(spout_options, physical_, &transport,
                                   &clock, &smgr);
-    EXPECT_TRUE(spout.StartCooperative(&pool).ok());
+    EXPECT_TRUE(spout.Prepare().ok());
+    runtime::TaskletPool::Handle* spout_handle = pool.Add(spout.loop());
 
     instance::HeronInstance::Options bolt_options;
     bolt_options.task = 1;
@@ -191,7 +193,8 @@ TEST_F(StepModeTest, CooperativeInlinePoolDeterministic) {
     bolt_options.acking = true;
     instance::HeronInstance bolt(bolt_options, physical_, &transport, &clock,
                                  &smgr);
-    EXPECT_TRUE(bolt.StartCooperative(&pool).ok());
+    EXPECT_TRUE(bolt.Prepare().ok());
+    runtime::TaskletPool::Handle* bolt_handle = pool.Add(bolt.loop());
 
     std::vector<uint64_t> trace;
     for (int round = 0; round < rounds; ++round) {
@@ -222,8 +225,11 @@ TEST_F(StepModeTest, CooperativeInlinePoolDeterministic) {
     EXPECT_EQ(smgr.acks_pending(), 0u);
     EXPECT_EQ(spout.pending_count(), 0);
 
+    pool.Retire(bolt_handle);
     bolt.Stop();
+    pool.Retire(spout_handle);
     spout.Stop();
+    pool.Retire(smgr_handle);
     smgr.Stop();
     return trace;
   };

@@ -130,6 +130,36 @@ TEST_P(FabricModesTest, SinkStallRetainsFrameUntilReceiverFrees) {
   EXPECT_GE(fabric->stats().sink_stalls, 1u);
 }
 
+// InFlight counts what a sender cannot see at the receiving channel:
+// frames accepted onto the wire and not yet taken by the sink, stalled
+// ones included. Senders charge them against the receiver's window.
+TEST_P(FabricModesTest, InFlightCountsFramesNotYetTakenBySink) {
+  auto fabric = Make();
+  RecordingSink sink;
+  ASSERT_TRUE(fabric->OpenLink(1, sink.AsSink()).ok());
+  EXPECT_EQ(fabric->InFlight(1), 0u);
+  EXPECT_EQ(fabric->InFlight(99), 0u);  // Unknown link.
+  if (std::string(GetParam()) == "in-process") {
+    // Synchronous delivery: nothing is ever in flight.
+    serde::Buffer payload = "direct";
+    ASSERT_TRUE(fabric->SendFrame(1, MakeHeader(1, payload), &payload).ok());
+    EXPECT_EQ(fabric->InFlight(1), 0u);
+    return;
+  }
+  sink.full = true;
+  for (int i = 0; i < 3; ++i) {
+    serde::Buffer payload = "frame-" + std::to_string(i);
+    ASSERT_TRUE(fabric->SendFrame(1, MakeHeader(1, payload), &payload).ok());
+  }
+  EXPECT_EQ(fabric->InFlight(1), 3u);
+  fabric->Pump();  // The first frame stalls at the sink: still in flight.
+  EXPECT_EQ(fabric->InFlight(1), 3u);
+  sink.full = false;
+  fabric->Pump();
+  EXPECT_EQ(sink.deliveries.size(), 3u);
+  EXPECT_EQ(fabric->InFlight(1), 0u);
+}
+
 TEST_P(FabricModesTest, StalledFrameKeepsFifoOrder) {
   if (std::string(GetParam()) == "in-process") GTEST_SKIP();
   auto fabric = Make();

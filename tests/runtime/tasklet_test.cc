@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <string>
 #include <vector>
 
@@ -152,7 +154,7 @@ TEST(TaskletTest, NoWorkEndsSliceAfterOneStep) {
 TEST(TaskletPoolTest, DriveAllStepsEveryMemberUntilDone) {
   TaskletPool::Options options;
   options.workers = 2;
-  options.threaded = false;
+  options.placement = Placement::kInline;
   SimClock clock(0);
   TaskletPool pool(options, &clock);
   EXPECT_EQ(pool.num_workers(), 2u);
@@ -185,7 +187,7 @@ TEST(TaskletPoolTest, DriveAllStepsEveryMemberUntilDone) {
 TEST(TaskletPoolTest, RetiredMemberStopsBeingDriven) {
   TaskletPool::Options options;
   options.workers = 1;
-  options.threaded = false;
+  options.placement = Placement::kInline;
   SimClock clock(0);
   TaskletPool pool(options, &clock);
 
@@ -210,7 +212,7 @@ TEST(TaskletPoolTest, RetiredMemberStopsBeingDriven) {
 TEST(TaskletPoolTest, DoneMemberRunsShutdownHooksOnce) {
   TaskletPool::Options options;
   options.workers = 1;
-  options.threaded = false;
+  options.placement = Placement::kInline;
   SimClock clock(0);
   TaskletPool pool(options, &clock);
 
@@ -301,10 +303,14 @@ INSTANTIATE_TEST_SUITE_P(IdlePolicies, ThreadedPoolTest,
 
 // Retire during live traffic: the caller owns the loop the moment Retire
 // returns, so destroying it immediately afterward must be safe even while
-// workers are mid-pass (this is the graceful-Stop path of every module).
-TEST(ThreadedPoolLifecycleTest, RetireDuringTrafficLeavesLoopOwnedByCaller) {
+// workers are mid-pass (this is the graceful-Stop path of every module) —
+// on shared workers and on dedicated ones alike.
+class PoolLifecycleTest : public ::testing::TestWithParam<Placement> {};
+
+TEST_P(PoolLifecycleTest, RetireDuringTrafficLeavesLoopOwnedByCaller) {
   TaskletPool::Options options;
   options.workers = 2;
+  options.placement = GetParam();
   RealClock clock;
   TaskletPool pool(options, &clock);
   pool.Start();
@@ -325,6 +331,78 @@ TEST(ThreadedPoolLifecycleTest, RetireDuringTrafficLeavesLoopOwnedByCaller) {
     loop.reset();  // Must not race the workers: Retire() fenced them out.
   }
   pool.Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Placements, PoolLifecycleTest,
+                         ::testing::Values(Placement::kShared,
+                                           Placement::kPerLoop),
+                         [](const auto& info) {
+                           return info.param == Placement::kShared
+                                      ? std::string("shared")
+                                      : std::string("per_loop");
+                         });
+
+// kPerLoop is thread-per-instance as a pool configuration: each Add()
+// brings its own worker (started with the pool, or at once when the pool
+// already runs), each Retire() joins it, and every tasklet still drains
+// its whole input on that worker.
+TEST(PerLoopPlacementTest, EachTaskletGetsItsOwnWorkerUntilRetired) {
+  TaskletPool::Options options;
+  options.placement = Placement::kPerLoop;
+  RealClock clock;
+  TaskletPool pool(options, &clock);
+
+  constexpr int kLoops = 4;
+  constexpr int kTuplesPerLoop = 300;
+  std::vector<std::unique_ptr<EventLoop>> loops;
+  std::vector<std::unique_ptr<ipc::Channel<int>>> channels;
+  std::vector<std::atomic<int>> handled(kLoops);
+  std::vector<TaskletPool::Handle*> handles;
+  const auto add_loop = [&](int i) {
+    loops.push_back(std::make_unique<EventLoop>(
+        LoopOptions("dedicated-" + std::to_string(i)), &clock));
+    channels.push_back(std::make_unique<ipc::Channel<int>>(64));
+    std::atomic<int>* slot = &handled[i];
+    loops.back()->AddChannel<int>(channels.back().get(), [slot](int&&) {
+      slot->fetch_add(1, std::memory_order_relaxed);
+    });
+    handles.push_back(pool.Add(loops.back().get()));
+  };
+  add_loop(0);
+  add_loop(1);
+  EXPECT_EQ(pool.num_workers(), 2u);  // Workers exist before Start ...
+  pool.Start();                       // ... and start with the pool.
+  add_loop(2);
+  add_loop(3);                        // Started at once.
+  EXPECT_EQ(pool.num_workers(), 4u);
+
+  for (int i = 0; i < kLoops; ++i) {
+    for (int j = 0; j < kTuplesPerLoop; ++j) {
+      while (!channels[i]->TrySend(int(j)).ok()) std::this_thread::yield();
+    }
+  }
+  const auto deadline = clock.NowNanos() + 20000000000LL;  // 20 s.
+  for (int i = 0; i < kLoops; ++i) {
+    while (handled[i].load(std::memory_order_relaxed) < kTuplesPerLoop &&
+           clock.NowNanos() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(handled[i].load(std::memory_order_relaxed), kTuplesPerLoop);
+  }
+  EXPECT_EQ(pool.CollectStats(clock.NowNanos()).workers, 4u);
+
+  pool.Retire(handles[0]);
+  pool.Retire(handles[2]);
+  EXPECT_EQ(pool.num_workers(), 2u);
+  // A retired loop is the caller's: input sent now stays put.
+  ASSERT_TRUE(channels[0]->TrySend(7).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(handled[0].load(), kTuplesPerLoop);
+  EXPECT_EQ(channels[0]->size(), 1u);
+  pool.Stop();
+  pool.Retire(handles[1]);
+  pool.Retire(handles[3]);
+  EXPECT_EQ(pool.num_workers(), 0u);
 }
 
 }  // namespace

@@ -570,7 +570,7 @@ TEST_P(StreamManagerTest, BackpressureBroadcastAndReceive) {
   ASSERT_TRUE(transport.RegisterSmgr(1, &peer).ok());
   // The SMGR's own inbound is registered too (as in a real cluster); the
   // broadcast must skip self.
-  ASSERT_TRUE(smgr.StartStepMode().ok());
+  ASSERT_TRUE(smgr.Prepare().ok());
 
   const auto routed = [&] {
     proto::TupleBatchMsg batch;
